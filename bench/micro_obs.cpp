@@ -43,7 +43,9 @@ using mot::ObjectId;
 
 struct World {
   explicit World(std::size_t side, std::uint64_t hierarchy_seed)
-      : graph(mot::make_grid(side, side)),
+      : side(side),
+        hierarchy_seed(hierarchy_seed),
+        graph(mot::make_grid(side, side)),
         oracle(mot::make_distance_oracle(graph)) {
     mot::DoublingHierarchy::Params hp;
     hp.seed = hierarchy_seed;
@@ -55,6 +57,8 @@ struct World {
     chain_options = mot::make_mot_chain_options(options);
   }
 
+  std::size_t side;
+  std::uint64_t hierarchy_seed;
   mot::Graph graph;
   std::unique_ptr<mot::DistanceOracle> oracle;
   std::unique_ptr<mot::DoublingHierarchy> hierarchy;
@@ -75,14 +79,17 @@ double run_cluster(const World& world, std::uint32_t num_shards, int steps,
   std::vector<int> rcs(num_shards, -1);
   for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
     threads.emplace_back([shard, num_shards, port, &world, &rcs] {
+      // One world per shard thread, as a forked shard would build it:
+      // MotPathProvider fills its caches from const methods without a
+      // lock, so shard threads must not share one.
+      const World own(world.side, world.hierarchy_seed);
       mot::Simulator sim;
-      mot::proto::DistributedMot mot(*world.provider, sim,
-                                     world.chain_options);
+      mot::proto::DistributedMot mot(*own.provider, sim, own.chain_options);
       mot::netio::WorkerConfig config;
       config.shard = shard;
       config.num_shards = num_shards;
       config.coordinator_port = port;
-      mot::netio::ShardWorker worker(config, *world.provider, sim, mot);
+      mot::netio::ShardWorker worker(config, *own.provider, sim, mot);
       rcs[shard] = worker.run();
     });
   }

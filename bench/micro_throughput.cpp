@@ -46,7 +46,9 @@ using mot::ObjectId;
 
 struct World {
   explicit World(std::size_t side, std::uint64_t hierarchy_seed)
-      : graph(mot::make_grid(side, side)),
+      : side(side),
+        hierarchy_seed(hierarchy_seed),
+        graph(mot::make_grid(side, side)),
         oracle(mot::make_distance_oracle(graph)) {
     mot::DoublingHierarchy::Params hp;
     hp.seed = hierarchy_seed;
@@ -58,6 +60,8 @@ struct World {
     chain_options = mot::make_mot_chain_options(options);
   }
 
+  std::size_t side;
+  std::uint64_t hierarchy_seed;
   mot::Graph graph;
   std::unique_ptr<mot::DistanceOracle> oracle;
   std::unique_ptr<mot::DoublingHierarchy> hierarchy;
@@ -153,14 +157,17 @@ double run_cluster(const World& world, std::uint32_t num_shards, int steps,
   std::vector<int> rcs(num_shards, -1);
   for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
     threads.emplace_back([shard, num_shards, port, &world, &rcs] {
+      // One world per shard thread, as a forked shard would build it:
+      // MotPathProvider fills its caches from const methods without a
+      // lock, so shard threads must not share one.
+      const World own(world.side, world.hierarchy_seed);
       mot::Simulator sim;
-      mot::proto::DistributedMot mot(*world.provider, sim,
-                                     world.chain_options);
+      mot::proto::DistributedMot mot(*own.provider, sim, own.chain_options);
       mot::netio::WorkerConfig config;
       config.shard = shard;
       config.num_shards = num_shards;
       config.coordinator_port = port;
-      mot::netio::ShardWorker worker(config, *world.provider, sim, mot);
+      mot::netio::ShardWorker worker(config, *own.provider, sim, mot);
       rcs[shard] = worker.run();
     });
   }
@@ -265,6 +272,13 @@ int main(int argc, char** argv) {
   const int shard_objects = std::max(objects / static_cast<int>(kShards), 8);
   mot::Table scaling({"threads", "shards", "trimmed s", "agg ops/s",
                       "identical"});
+  // One world per shard: pool workers run shards concurrently, and a
+  // MotPathProvider must not be shared across threads.
+  std::vector<std::unique_ptr<World>> shard_worlds;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    shard_worlds.push_back(
+        std::make_unique<World>(world.side, world.hierarchy_seed));
+  }
   std::string reference_table;
   bool all_identical = true;
   for (const std::size_t threads : {1u, 2u, 4u}) {
@@ -273,7 +287,8 @@ int main(int argc, char** argv) {
     const double seconds = mot::bench::repeat_trimmed(3, [&](int) {
       const auto start = std::chrono::steady_clock::now();
       shard_out = mot::par::parallel_map(kShards, [&](std::size_t shard) {
-        return run_engine(world, /*batched=*/true, shard_objects, rounds,
+        return run_engine(*shard_worlds[shard], /*batched=*/true,
+                          shard_objects, rounds,
                           common.base_seed + 101 * (shard + 1));
       });
       const std::chrono::duration<double> wall =

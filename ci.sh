@@ -225,10 +225,12 @@ cmake -B build-tsan -S . -DMOT_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug \
   > /dev/null
 cmake --build build-tsan -j "${JOBS}" --target mot_tests
 # The concurrency-bearing suites (plus the overload suites, whose bench
-# runs on the worker pool, and the batching/flat-map suites, whose
-# worker-count test fans batched shards across the pool); the rest of
-# mot_tests is single-threaded and already covered by the asan stage.
+# runs on the worker pool, the batching/flat-map suites, whose
+# worker-count test fans batched shards across the pool, and the socket
+# and cluster suites, whose shard threads, pumps and coordinator talk
+# over loopback sockets); the rest of mot_tests is single-threaded and
+# already covered by the asan stage.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/mot_tests --gtest_brief=1 \
-  --gtest_filter='ThreadPool.*:ShardedOracle.*:ParallelSweep.*:Overload*:Batch*:FlatMap*:Durable*:Journal*:Snapshot*:Adaptive*'
+  --gtest_filter='ThreadPool.*:ShardedOracle.*:ParallelSweep.*:Overload*:Batch*:FlatMap*:Durable*:Journal*:Snapshot*:Adaptive*:NetCluster.*:NetSocket.*:NetTransport.*'
 
 echo "== ci green =="

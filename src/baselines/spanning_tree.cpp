@@ -101,27 +101,6 @@ NodeId choose_sink(const Graph& graph) {
   return best;
 }
 
-namespace {
-
-struct RatedEdge {
-  NodeId u;
-  NodeId v;
-  double rate;
-};
-
-std::vector<RatedEdge> collect_edges(const Graph& graph,
-                                     const EdgeRates& rates) {
-  std::vector<RatedEdge> edges;
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    for (const Edge& e : graph.neighbors(u)) {
-      if (e.to > u) edges.push_back({u, e.to, rates.rate(u, e.to)});
-    }
-  }
-  return edges;
-}
-
-}  // namespace
-
 bool Dendrogram::is_valid() const {
   if (root < 0 || static_cast<std::size_t>(root) >= nodes.size()) {
     return false;

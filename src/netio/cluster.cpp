@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
@@ -22,7 +23,34 @@ void fnv_mix(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
+// Whether `complete` answers `control`: queries match by id, publishes
+// and moves by object.
+bool answers(const wire::CompleteFrame& complete,
+             const wire::ControlFrame& control) {
+  if (complete.op != control.op) return false;
+  return control.op == wire::ClusterOp::kQuery
+             ? complete.query_id == control.query_id
+             : complete.object == control.object;
+}
+
 }  // namespace
+
+WaveVerdict judge_wave(std::span<const wire::ProbeReplyFrame> replies) {
+  const std::size_t n = replies.size();
+  for (const wire::ProbeReplyFrame& reply : replies) {
+    if (reply.sent.size() != n || reply.received.size() != n) {
+      return WaveVerdict::kMalformed;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && replies[i].sent[j] != replies[j].received[i]) {
+        return WaveVerdict::kInFlight;
+      }
+    }
+  }
+  return WaveVerdict::kQuiescent;
+}
 
 std::uint64_t world_fingerprint(const PathProvider& provider) {
   std::uint64_t hash = kFnvOffset;
@@ -50,7 +78,12 @@ std::uint64_t world_fingerprint(const PathProvider& provider) {
 ShardWorker::ShardWorker(const WorkerConfig& config,
                          const PathProvider& provider, Simulator& sim,
                          proto::DistributedMot& mot)
-    : config_(config), provider_(&provider), sim_(&sim), mot_(&mot) {
+    : config_(config),
+      provider_(&provider),
+      sim_(&sim),
+      mot_(&mot),
+      sent_(config.num_shards, 0),
+      received_(config.num_shards, 0) {
   mot_->use_cluster(this);
 }
 
@@ -160,24 +193,40 @@ bool ShardWorker::wire_mesh(const wire::HelloAckFrame& ack) {
 }
 
 bool ShardWorker::pump() {
+  // Stream 0 is the control connection, stream 1 + j the mesh link to
+  // shard j (this shard's own slot has no socket; poll skips fd -1).
+  std::vector<FrameStream*> streams{&control_};
+  for (FrameStream& peer : peers_) streams.push_back(&peer);
+  std::vector<int> fds;
+  for (const FrameStream* stream : streams) fds.push_back(stream->fd());
+  std::vector<bool> readable(streams.size(), false);
+  std::vector<std::uint8_t> payload;
   while (!done_) {
     sim_->run();
-    // Drain everything already readable before considering idleness —
-    // every buffered control and peer frame, not one per wakeup, so a
-    // burst of cross-shard traffic is absorbed in one iteration.
+    // Take every whole frame on hand before considering idleness, so a
+    // burst of cross-shard traffic is absorbed in one iteration. Only a
+    // stream the last poll reported is read from the socket, once; a
+    // frame that arrived since stays unread and, if a probe is answered
+    // meanwhile, counts as in flight — one more wave, never a wrong one.
     bool progressed = false;
-    std::vector<std::uint8_t> payload;
-    while (!done_ && control_.recv(&payload, /*block=*/false) ==
-                         wire::DecodeError::kNone) {
-      if (!handle_control(payload)) return false;
-      progressed = true;
-    }
-    if (control_.closed()) return false;  // coordinator went away
-    for (std::uint32_t j = 0; j < peers_.size() && !done_; ++j) {
-      if (!peers_[j].valid()) continue;
-      while (peers_[j].recv(&payload, /*block=*/false) ==
-             wire::DecodeError::kNone) {
-        if (!handle_peer(j, payload)) return false;
+    for (std::size_t k = 0; k < streams.size() && !done_; ++k) {
+      FrameStream& stream = *streams[k];
+      if (readable[k]) {
+        readable[k] = false;
+        if (!stream.fill(/*block=*/false)) {
+          if (k == 0) return false;  // coordinator went away
+          fds[k] = -1;               // a peer hung up: stop polling it
+        }
+      }
+      while (!done_) {
+        const wire::DecodeError err = stream.take_frame(&payload);
+        if (err == wire::DecodeError::kShortRead) break;
+        if (err != wire::DecodeError::kNone) return false;  // desynced
+        const bool ok = k == 0
+                            ? handle_control(payload)
+                            : handle_peer(static_cast<std::uint32_t>(k - 1),
+                                          payload);
+        if (!ok) return false;
         progressed = true;
       }
     }
@@ -187,12 +236,7 @@ bool ShardWorker::pump() {
     if (!flush_peers()) return false;
     maybe_answer_probe();
     if (done_) break;
-    std::vector<int> fds;
-    fds.push_back(control_.fd());
-    for (FrameStream& peer : peers_) {
-      if (peer.valid()) fds.push_back(peer.fd());
-    }
-    poll_readable(fds, 200);
+    for (const std::size_t k : poll_readable(fds, 200)) readable[k] = true;
   }
   return flush_peers();
 }
@@ -210,8 +254,8 @@ void ShardWorker::maybe_answer_probe() {
   if (!probe_pending_ || !sim_->empty()) return;
   wire::ProbeReplyFrame reply;
   reply.token = *probe_pending_;
-  reply.forwarded = forwarded_;
-  reply.injected = injected_;
+  reply.sent = sent_;
+  reply.received = received_;
   probe_pending_.reset();
   control_.send(wire::encode_probe_reply(reply, version_));
 }
@@ -231,14 +275,16 @@ bool ShardWorker::handle_control(std::span<const std::uint8_t> payload) {
       }
       switch (control.op) {
         case wire::ClusterOp::kNotePosition:
+          // Unanswered: the probe queued behind it on this FIFO stream
+          // is answered only after the note is applied.
           mot_->cluster_note_position(control.object, control.node);
-          send_complete({.op = wire::ClusterOp::kNotePosition,
-                         .object = control.object});
           break;
         case wire::ClusterOp::kPublish:
+          mot_->cluster_note_position(control.object, control.node);
           mot_->cluster_publish(control.object, control.node);
           break;
         case wire::ClusterOp::kMove:
+          mot_->cluster_note_position(control.object, control.node);
           mot_->cluster_move(control.object, control.node);
           break;
         case wire::ClusterOp::kQuery:
@@ -289,7 +335,7 @@ bool ShardWorker::handle_peer(std::uint32_t shard,
   }
   ++stats_.frames_received;
   stats_.bytes_received += payload.size() + 4;
-  ++injected_;
+  ++received_[shard];
   if (obs::tracing()) {
     obs::emit({.type = obs::Ev::kWireDecode,
                .t = sim_->now(),
@@ -300,7 +346,6 @@ bool ShardWorker::handle_peer(std::uint32_t shard,
                .trace = frame.message.trace_id,
                .label = proto::msg_type_name(frame.message.type)});
   }
-  (void)shard;
   mot_->cluster_inject(frame.message, frame.from);
   return true;
 }
@@ -316,7 +361,7 @@ void ShardWorker::forward(const proto::Message& message, NodeId from) {
                                  version);
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();
-  ++forwarded_;
+  ++sent_[to_shard];
   if (obs::tracing()) {
     obs::emit({.type = obs::Ev::kWireEncode,
                .t = sim_->now(),
@@ -328,8 +373,8 @@ void ShardWorker::forward(const proto::Message& message, NodeId from) {
                .label = proto::msg_type_name(message.type)});
   }
   // Staged, not sent: pump() flushes every peer's queue in one write
-  // when the shard goes idle. forwarded_ counts at staging time, which
-  // is safe because the probe reply is only sent after flush_peers().
+  // when the shard goes idle. sent_ counts at staging time, which is
+  // safe because the probe reply is only sent after flush_peers().
   peers_[to_shard].queue(frame);
 }
 
@@ -382,9 +427,11 @@ wire::TelemetryReportFrame ShardWorker::telemetry_snapshot() const {
   registry.counter("mot_wire_bytes_received_total")
       .increment(stats_.bytes_received);
   registry.counter("mot_wire_messages_forwarded_total")
-      .increment(forwarded_);
+      .increment(std::accumulate(sent_.begin(), sent_.end(),
+                                 std::uint64_t{0}));
   registry.counter("mot_wire_messages_injected_total")
-      .increment(injected_);
+      .increment(std::accumulate(received_.begin(), received_.end(),
+                                 std::uint64_t{0}));
   wire::TelemetryReportFrame frame;
   frame.shard = config_.shard;
   frame.metrics = registry.snapshot();
@@ -453,151 +500,117 @@ bool ClusterCoordinator::broadcast(const std::vector<std::uint8_t>& frame) {
 
 std::vector<std::uint8_t> ClusterCoordinator::next_frame(
     std::uint32_t* shard) {
+  std::vector<int> fds;
+  for (const FrameStream& worker : workers_) fds.push_back(worker.fd());
+  std::vector<std::uint8_t> payload;
   while (true) {
+    // Frames already buffered first; a socket is read only once poll
+    // reports it.
     for (std::uint32_t i = 0; i < num_shards_; ++i) {
-      if (*shard != kAnyShard && i != *shard) continue;
-      std::vector<std::uint8_t> payload;
-      if (workers_[i].recv(&payload, /*block=*/false) ==
-          wire::DecodeError::kNone) {
+      const wire::DecodeError err = workers_[i].take_frame(&payload);
+      if (err == wire::DecodeError::kNone) {
         *shard = i;
         return payload;
       }
-      if (workers_[i].closed()) return {};
+      if (err != wire::DecodeError::kShortRead) return {};  // desynced
     }
-    std::vector<int> fds;
-    for (FrameStream& worker : workers_) fds.push_back(worker.fd());
-    poll_readable(fds, 1000);
+    for (const std::size_t i : poll_readable(fds, 1000)) {
+      if (!workers_[i].fill(/*block=*/false)) return {};  // shard hung up
+    }
   }
 }
 
-bool ClusterCoordinator::note_position(ObjectId object, NodeId node) {
-  wire::ControlFrame control;
-  control.op = wire::ClusterOp::kNotePosition;
-  control.object = object;
-  control.node = node;
-  if (!broadcast(wire::encode_control(control, version_))) return false;
-  for (std::uint32_t acks = 0; acks < num_shards_; ++acks) {
-    std::uint32_t shard = kAnyShard;
-    const std::vector<std::uint8_t> payload = next_frame(&shard);
-    wire::CompleteFrame complete;
-    if (wire::decode_complete(payload, &complete) !=
-            wire::DecodeError::kNone ||
-        complete.op != wire::ClusterOp::kNotePosition) {
-      return false;
-    }
+std::optional<wire::CompleteFrame> ClusterCoordinator::run_op(
+    const wire::ControlFrame& control) {
+  const std::uint32_t owner = shard_of(control.node, num_shards_);
+  if (!workers_[owner].send(wire::encode_control(control, version_))) {
+    return std::nullopt;
   }
-  return true;
+  std::uint32_t shard = 0;
+  wire::CompleteFrame complete;
+  if (wire::decode_complete(next_frame(&shard), &complete) !=
+          wire::DecodeError::kNone ||
+      !answers(complete, control)) {
+    return std::nullopt;
+  }
+  // Every shard but the owner learns a publish's or move's position with
+  // the first probe; only the owner reads it while the op runs.
+  std::vector<std::uint8_t> note;
+  if (control.op != wire::ClusterOp::kQuery) {
+    note = wire::encode_control({.op = wire::ClusterOp::kNotePosition,
+                                 .object = control.object,
+                                 .node = control.node},
+                                version_);
+  }
+  if (!await_quiescence(note, owner)) return std::nullopt;
+  return complete;
 }
 
 bool ClusterCoordinator::publish(ObjectId object, NodeId proxy) {
-  if (!note_position(object, proxy)) return false;
-  wire::ControlFrame control;
-  control.op = wire::ClusterOp::kPublish;
-  control.object = object;
-  control.node = proxy;
-  if (!workers_[shard_of(proxy, num_shards_)].send(
-          wire::encode_control(control, version_))) {
-    return false;
-  }
-  std::uint32_t shard = kAnyShard;
-  const std::vector<std::uint8_t> payload = next_frame(&shard);
-  wire::CompleteFrame complete;
-  if (wire::decode_complete(payload, &complete) !=
-          wire::DecodeError::kNone ||
-      complete.op != wire::ClusterOp::kPublish ||
-      complete.object != object) {
-    return false;
-  }
-  return await_quiescence();
+  return run_op({.op = wire::ClusterOp::kPublish,
+                 .object = object,
+                 .node = proxy})
+      .has_value();
 }
 
 std::optional<ClusterMoveOutcome> ClusterCoordinator::move(
     ObjectId object, NodeId new_proxy) {
-  if (!note_position(object, new_proxy)) return std::nullopt;
-  wire::ControlFrame control;
-  control.op = wire::ClusterOp::kMove;
-  control.object = object;
-  control.node = new_proxy;
-  if (!workers_[shard_of(new_proxy, num_shards_)].send(
-          wire::encode_control(control, version_))) {
-    return std::nullopt;
-  }
-  std::uint32_t shard = kAnyShard;
-  const std::vector<std::uint8_t> payload = next_frame(&shard);
-  wire::CompleteFrame complete;
-  if (wire::decode_complete(payload, &complete) !=
-          wire::DecodeError::kNone ||
-      complete.op != wire::ClusterOp::kMove || complete.object != object) {
-    return std::nullopt;
-  }
-  if (!await_quiescence()) return std::nullopt;
-  return ClusterMoveOutcome{.cost = complete.cost,
-                            .peak_level = complete.level};
+  const auto complete = run_op(
+      {.op = wire::ClusterOp::kMove, .object = object, .node = new_proxy});
+  if (!complete) return std::nullopt;
+  return ClusterMoveOutcome{.cost = complete->cost,
+                            .peak_level = complete->level};
 }
 
 std::optional<ClusterQueryOutcome> ClusterCoordinator::query(
     NodeId origin, ObjectId object) {
-  wire::ControlFrame control;
-  control.op = wire::ClusterOp::kQuery;
-  control.object = object;
-  control.node = origin;
-  control.query_id = next_query_id_++;
-  if (!workers_[shard_of(origin, num_shards_)].send(
-          wire::encode_control(control, version_))) {
-    return std::nullopt;
-  }
-  std::uint32_t shard = kAnyShard;
-  const std::vector<std::uint8_t> payload = next_frame(&shard);
-  wire::CompleteFrame complete;
-  if (wire::decode_complete(payload, &complete) !=
-          wire::DecodeError::kNone ||
-      complete.op != wire::ClusterOp::kQuery ||
-      complete.query_id != control.query_id) {
-    return std::nullopt;
-  }
-  if (!await_quiescence()) return std::nullopt;
-  return ClusterQueryOutcome{.found = complete.found,
-                             .proxy = complete.proxy,
-                             .cost = complete.cost,
-                             .found_level = complete.level,
-                             .degraded = complete.degraded,
-                             .staleness = complete.staleness};
+  const auto complete = run_op({.op = wire::ClusterOp::kQuery,
+                                .object = object,
+                                .node = origin,
+                                .query_id = next_query_id_++});
+  if (!complete) return std::nullopt;
+  return ClusterQueryOutcome{.found = complete->found,
+                             .proxy = complete->proxy,
+                             .cost = complete->cost,
+                             .found_level = complete->level,
+                             .degraded = complete->degraded,
+                             .staleness = complete->staleness};
 }
 
-bool ClusterCoordinator::await_quiescence() {
-  // Mattern's four-counter method: two consecutive probe waves with
-  // identical per-shard counters and a globally balanced forwarded ==
-  // injected sum prove no kMessage frame is still in flight.
-  // Compare counters only: the token is fresh per wave by design (it
-  // pairs replies with their probe), so it must not enter the equality.
-  using Wave = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-  Wave previous;
+bool ClusterCoordinator::await_quiescence(std::span<const std::uint8_t> note,
+                                          std::uint32_t owner) {
   while (true) {
-    wire::ProbeFrame probe;
-    probe.token = next_probe_token_++;
-    if (!broadcast(wire::encode_probe(probe, version_))) return false;
-    Wave wave(num_shards_);
+    ++probe_waves_;
+    const wire::ProbeFrame probe{.token = next_probe_token_++};
+    const std::vector<std::uint8_t> frame =
+        wire::encode_probe(probe, version_);
+    for (std::uint32_t i = 0; i < num_shards_; ++i) {
+      if (i != owner) workers_[i].queue(note);
+      workers_[i].queue(frame);
+      if (!workers_[i].flush()) return false;
+    }
+    note = {};
+    // A shard missing from the wave keeps an empty reply, which
+    // judge_wave rejects: the op fails rather than waits.
+    std::vector<wire::ProbeReplyFrame> replies(num_shards_);
     for (std::uint32_t got = 0; got < num_shards_; ++got) {
-      std::uint32_t shard = kAnyShard;
-      const std::vector<std::uint8_t> payload = next_frame(&shard);
+      std::uint32_t shard = 0;
       wire::ProbeReplyFrame reply;
-      if (wire::decode_probe_reply(payload, &reply) !=
+      if (wire::decode_probe_reply(next_frame(&shard), &reply) !=
               wire::DecodeError::kNone ||
           reply.token != probe.token) {
         return false;
       }
-      wave[shard] = {reply.forwarded, reply.injected};
+      replies[shard] = std::move(reply);
     }
-    std::uint64_t forwarded = 0;
-    std::uint64_t injected = 0;
-    for (const auto& [f, i] : wave) {
-      forwarded += f;
-      injected += i;
+    switch (judge_wave(replies)) {
+      case WaveVerdict::kQuiescent:
+        return true;
+      case WaveVerdict::kMalformed:
+        return false;
+      case WaveVerdict::kInFlight:
+        break;
     }
-    if (forwarded == injected && !previous.empty() && wave == previous) {
-      return true;
-    }
-    previous = std::move(wave);
   }
 }
 
@@ -608,7 +621,7 @@ std::vector<std::uint64_t> ClusterCoordinator::collect_loads(
   if (!broadcast(wire::encode_control(control, version_))) return {};
   std::vector<std::uint64_t> totals;
   for (std::uint32_t got = 0; got < num_shards_; ++got) {
-    std::uint32_t shard = kAnyShard;
+    std::uint32_t shard = 0;
     const std::vector<std::uint8_t> payload = next_frame(&shard);
     wire::LoadReportFrame report;
     if (wire::decode_load_report(payload, &report) !=
@@ -629,7 +642,7 @@ bool ClusterCoordinator::collect_telemetry(obs::MetricsRegistry* out) {
   control.op = wire::ClusterOp::kReportTelemetry;
   if (!broadcast(wire::encode_control(control, version_))) return false;
   for (std::uint32_t got = 0; got < num_shards_; ++got) {
-    std::uint32_t shard = kAnyShard;
+    std::uint32_t shard = 0;
     const std::vector<std::uint8_t> payload = next_frame(&shard);
     wire::TelemetryReportFrame report;
     if (wire::decode_telemetry_report(payload, &report) !=

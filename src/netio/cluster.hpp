@@ -10,16 +10,18 @@
 // the full port map. Workers then wire the mesh (shard i dials every
 // j < i, accepts every j > i) and enter the pump loop.
 //
-// Execution: the coordinator broadcasts the object's position before
-// each operation (so sentinel checks hold on every shard), injects the
-// operation at its owner shard, waits for the Complete frame, then runs
-// Mattern-style four-counter probe waves until two consecutive waves
-// return identical counters with sum(forwarded) == sum(injected) —
-// trailing SDL traffic is then provably drained.
+// Execution: the coordinator injects each operation at its owner shard,
+// waits for the Complete frame, then probes every shard until one wave
+// shows every mesh link balanced (judge_wave) — trailing SDL traffic is
+// then provably drained. A publish or move carries the object's position
+// to its owner in the control frame itself; every other shard gets the
+// position note in the same write as that operation's first probe, so
+// all shards hold it before the next operation starts.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +62,20 @@ struct WorkerConfig {
   std::size_t flight_capacity = 4096;
 };
 
+// Verdict of one probe wave, where replies[i] is shard i's reply.
+enum class WaveVerdict : std::uint8_t {
+  kQuiescent,  // every ordered link balances: the mesh is drained
+  kInFlight,   // some link does not balance yet: probe again
+  kMalformed,  // a reply lacks a full set of link counts: fail the op
+};
+
+// The per-link quiescence rule (DESIGN.md §11): a wave is conclusive when
+// sent_i[j] == received_j[i] for every ordered pair of shards i != j.
+// Links are FIFO TCP streams and a shard replies only when idle with its
+// staged frames flushed, so balanced counts leave no frame in flight and
+// no shard that could be woken after replying.
+WaveVerdict judge_wave(std::span<const wire::ProbeReplyFrame> replies);
+
 // One shard of the cluster. Owns the control + mesh sockets; the
 // DistributedMot, simulator, and provider belong to the embedder (built
 // deterministically from the same seed in every process). Attaches
@@ -87,6 +103,8 @@ class ShardWorker final : public proto::ClusterLink {
  private:
   bool bootstrap();
   bool wire_mesh(const wire::HelloAckFrame& ack);
+  // Event loop. A stream is read only when the last poll reported it
+  // readable; frames already buffered are taken without a syscall.
   bool pump();
   bool handle_control(std::span<const std::uint8_t> payload);
   bool handle_peer(std::uint32_t shard,
@@ -112,8 +130,10 @@ class ShardWorker final : public proto::ClusterLink {
   std::uint8_t version_ = wire::kWireVersion;
   bool done_ = false;
   std::optional<std::uint64_t> probe_pending_;
-  std::uint64_t forwarded_ = 0;  // kMessage frames shipped to peers
-  std::uint64_t injected_ = 0;   // kMessage frames accepted from peers
+  // Per-peer kMessage frame counts for the probe reply, indexed by shard:
+  // staged by forward() / taken in by handle_peer().
+  std::vector<std::uint64_t> sent_;
+  std::vector<std::uint64_t> received_;
   WireStats stats_;
 };
 
@@ -149,11 +169,15 @@ class ClusterCoordinator {
   bool bootstrap();
   std::uint8_t negotiated_version() const { return version_; }
 
-  // Operations: broadcast the position, inject at the owner shard, wait
-  // for completion, then drain the mesh via probe waves.
+  // Operations: inject at the owner shard, wait for completion, then
+  // drain the mesh via probe waves.
   bool publish(ObjectId object, NodeId proxy);
   std::optional<ClusterMoveOutcome> move(ObjectId object, NodeId new_proxy);
   std::optional<ClusterQueryOutcome> query(NodeId origin, ObjectId object);
+
+  // Probe waves sent so far: one per operation whenever the first wave
+  // is conclusive.
+  std::uint64_t probe_waves() const { return probe_waves_; }
 
   // Elementwise sum of every shard's per-node storage load; the meter
   // total accumulates each shard's charged distance.
@@ -168,12 +192,17 @@ class ClusterCoordinator {
 
  private:
   bool broadcast(const std::vector<std::uint8_t>& frame);
-  // Blocks until one frame arrives from `shard` (any shard when
-  // kAnyShard); returns the payload, empty on socket failure.
-  static constexpr std::uint32_t kAnyShard = ~0u;
+  // Blocks until one frame arrives from any shard; returns the payload
+  // and sets *shard to its sender, or returns empty on socket failure.
   std::vector<std::uint8_t> next_frame(std::uint32_t* shard);
-  bool note_position(ObjectId object, NodeId node);
-  bool await_quiescence();
+  // Injects `control` at the shard owning control.node, waits for its
+  // Complete, then for quiescence. Empty on any control-plane failure.
+  std::optional<wire::CompleteFrame> run_op(const wire::ControlFrame& control);
+  // Probe waves until one is conclusive. A non-empty `note` (an encoded
+  // kNotePosition) goes to every shard but `owner` in the same write as
+  // the first probe; the owner took the position from the op itself.
+  bool await_quiescence(std::span<const std::uint8_t> note,
+                        std::uint32_t owner);
 
   std::uint32_t num_shards_;
   Listener listener_;
@@ -181,6 +210,7 @@ class ClusterCoordinator {
   std::uint8_t version_ = 0;
   std::uint64_t next_query_id_ = 1;
   std::uint64_t next_probe_token_ = 1;
+  std::uint64_t probe_waves_ = 0;
 };
 
 }  // namespace mot::netio

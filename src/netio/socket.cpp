@@ -143,15 +143,6 @@ bool FrameStream::flush() {
   return ok;
 }
 
-bool FrameStream::frame_buffered() const {
-  std::span<const std::uint8_t> payload;
-  std::size_t consumed = 0;
-  const std::span<const std::uint8_t> view{buffer_.data() + buffer_pos_,
-                                           buffer_.size() - buffer_pos_};
-  return wire::split_frame(view, &payload, &consumed) ==
-         wire::DecodeError::kNone;
-}
-
 bool FrameStream::fill(bool block) {
   std::uint8_t chunk[16384];
   while (true) {
@@ -173,28 +164,30 @@ bool FrameStream::fill(bool block) {
   }
 }
 
+wire::DecodeError FrameStream::take_frame(
+    std::vector<std::uint8_t>* payload) {
+  const std::span<const std::uint8_t> view{buffer_.data() + buffer_pos_,
+                                           buffer_.size() - buffer_pos_};
+  std::span<const std::uint8_t> frame;
+  std::size_t consumed = 0;
+  const wire::DecodeError err = wire::split_frame(view, &frame, &consumed);
+  if (err != wire::DecodeError::kNone) return err;
+  payload->assign(frame.begin(), frame.end());
+  buffer_pos_ += consumed;
+  // Compact once the consumed prefix dominates the buffer.
+  if (buffer_pos_ > 65536 && buffer_pos_ * 2 > buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_pos_));
+    buffer_pos_ = 0;
+  }
+  return wire::DecodeError::kNone;
+}
+
 wire::DecodeError FrameStream::recv(std::vector<std::uint8_t>* payload,
                                     bool block) {
   while (true) {
-    std::span<const std::uint8_t> view{buffer_.data() + buffer_pos_,
-                                       buffer_.size() - buffer_pos_};
-    std::span<const std::uint8_t> frame;
-    std::size_t consumed = 0;
-    const wire::DecodeError err =
-        wire::split_frame(view, &frame, &consumed);
-    if (err == wire::DecodeError::kNone) {
-      payload->assign(frame.begin(), frame.end());
-      buffer_pos_ += consumed;
-      // Compact once the consumed prefix dominates the buffer.
-      if (buffer_pos_ > 65536 && buffer_pos_ * 2 > buffer_.size()) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                            buffer_pos_));
-        buffer_pos_ = 0;
-      }
-      return wire::DecodeError::kNone;
-    }
-    if (err != wire::DecodeError::kShortRead) return err;  // corrupt
+    const wire::DecodeError err = take_frame(payload);
+    if (err != wire::DecodeError::kShortRead) return err;  // frame or corrupt
     if (closed_) return wire::DecodeError::kShortRead;
     const std::size_t before = buffer_.size();
     if (!fill(block)) return wire::DecodeError::kShortRead;

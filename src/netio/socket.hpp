@@ -97,9 +97,6 @@ class FrameStream {
 
   std::size_t queued_bytes() const { return out_buffer_.size(); }
 
-  // True when a whole frame is already buffered (no syscall).
-  bool frame_buffered() const;
-
   // Pulls available bytes off the socket (non-blocking if `block` is
   // false) and, if a complete frame is buffered, copies its payload
   // (version + kind + body) into *payload. Outcomes:
@@ -110,6 +107,15 @@ class FrameStream {
   // closed().
   wire::DecodeError recv(std::vector<std::uint8_t>* payload, bool block);
 
+  // The two halves of recv() for readiness-driven loops. fill() appends
+  // up to one read()'s worth of bytes to the receive buffer — call it
+  // without blocking once poll_readable() reported the stream; it returns
+  // false on hangup or a socket error (closed() flips). take_frame()
+  // carves the next whole buffered frame with no syscall: kNone,
+  // kShortRead when no whole frame is buffered, or kBadLength.
+  bool fill(bool block);
+  wire::DecodeError take_frame(std::vector<std::uint8_t>* payload);
+
   bool closed() const { return closed_; }
 
   // Total frame bytes through this stream, for the wire stats.
@@ -117,9 +123,6 @@ class FrameStream {
   std::uint64_t bytes_received() const { return bytes_received_; }
 
  private:
-  // Appends up to one read()'s worth of bytes; returns false on EOF.
-  bool fill(bool block);
-
   Socket socket_;
   std::vector<std::uint8_t> buffer_;
   std::vector<std::uint8_t> out_buffer_;  // queued frames awaiting flush()

@@ -1907,9 +1907,11 @@ DistributedMot::TraceCtx* DistributedMot::trace_ctx_for(
 // Trace ids must be (a) nonzero, (b) unique per walk, and (c) derived
 // identically on every shard without coordination. Publishes and moves
 // hash (object, per-object op ordinal); the ordinal advances everywhere
-// because cluster mode broadcasts cluster_note_position to all shards
-// before each one. Queries hash the coordinator-assigned query id,
-// which the single-process runtime assigns in the same sequence.
+// because every shard applies cluster_note_position for each one — the
+// owner before the walk starts, the rest before the next operation —
+// and only the owner derives the id. Queries hash the coordinator-
+// assigned query id, which the single-process runtime assigns in the
+// same sequence.
 namespace {
 
 std::uint64_t mix_trace(std::uint64_t h, std::uint64_t v) {
@@ -2044,22 +2046,23 @@ void DistributedMot::cluster_inject(const Message& message, NodeId from) {
 void DistributedMot::cluster_note_position(ObjectId object,
                                            NodeId position) {
   physical_[object] = position;
-  // First sighting is the publish broadcast (proxy == position); moves
-  // leave the committed proxy to the splice on the meet shard.
+  // First sighting is the publish note (proxy == position); moves leave
+  // the committed proxy to the splice on the meet shard.
   proxies_.emplace(object, position);
-  // Every shard sees this broadcast before the walker starts anywhere,
-  // so advancing the op ordinal here keeps trace-id derivation in sync
-  // across the whole cluster (and with a single-process reference run).
+  // Every shard applies this note before the next operation starts (the
+  // owner before this one's walker), so advancing the op ordinal here
+  // keeps trace-id derivation in sync across the whole cluster (and
+  // with a single-process reference run).
   if (obs::tracing()) ++op_trace_seq_[object];
 }
 
 void DistributedMot::cluster_publish(ObjectId object, NodeId proxy) {
   MOT_CHECK(cluster_ != nullptr && cluster_->owns(proxy));
-  MOT_EXPECTS(physical_.at(object) == proxy);  // broadcast came first
+  MOT_EXPECTS(physical_.at(object) == proxy);  // noted first
   ++inflight_;
   publishing_.insert(object);
   if (obs::tracing()) {
-    // The note-position broadcast already advanced the ordinal; read it.
+    // The position note already advanced the ordinal; read it.
     publish_trace_[object] =
         TraceCtx{make_op_trace_id(object, op_trace_seq_[object])};
   }
@@ -2076,7 +2079,7 @@ void DistributedMot::cluster_publish(ObjectId object, NodeId proxy) {
 
 void DistributedMot::cluster_move(ObjectId object, NodeId new_proxy) {
   MOT_CHECK(cluster_ != nullptr && cluster_->owns(new_proxy));
-  MOT_EXPECTS(physical_.at(object) == new_proxy);  // broadcast came first
+  MOT_EXPECTS(physical_.at(object) == new_proxy);  // noted first
   MOT_EXPECTS(moves_.count(object) == 0);
   MoveCtx seed;
   seed.to = new_proxy;

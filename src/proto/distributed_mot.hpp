@@ -247,15 +247,19 @@ class DistributedMot {
     cluster_ = link;
   }
 
-  // Object-position broadcast: every shard mirrors proxies_/physical_
-  // bookkeeping before an operation is injected anywhere, so sentinel
-  // checks and preconditions hold on whichever shard the walker visits.
+  // Object-position note: every shard mirrors proxies_/physical_
+  // bookkeeping and the per-object trace ordinal. The owner shard of a
+  // publish or move applies it right before cluster_publish /
+  // cluster_move; the others apply it after the walk, before the next
+  // operation starts. Only the owner reads the noted state while the
+  // operation runs (its preconditions and trace id); the other read,
+  // the proxy check in a query's descent, runs only in a later query.
   void cluster_note_position(ObjectId object, NodeId position);
 
   // Operation injection on the shard owning the proxy / origin. These
-  // mirror publish()/move()/query() minus the position writes (already
-  // broadcast) and with coordinator-assigned query ids (per-shard
-  // counters would collide).
+  // mirror publish()/move()/query() minus the position writes (noted
+  // first) and with coordinator-assigned query ids (per-shard counters
+  // would collide).
   void cluster_publish(ObjectId object, NodeId proxy);
   void cluster_move(ObjectId object, NodeId new_proxy);
   void cluster_query(NodeId origin, ObjectId object,
@@ -593,8 +597,9 @@ class DistributedMot {
   // Trace state of in-flight publishes (publishes have no MoveCtx to
   // embed it in) and the per-object operation counter trace ids derive
   // from. The counter is bumped on every publish/move issue — in
-  // cluster mode via cluster_note_position, which reaches every shard
-  // before the walker starts, so all shards agree on it. Only
+  // cluster mode via cluster_note_position, which the owner shard
+  // applies before the walker starts and every other shard before the
+  // next operation, so all shards agree on it whenever it is read. Only
   // maintained while a trace sink is installed.
   std::unordered_map<ObjectId, TraceCtx> publish_trace_;
   std::unordered_map<ObjectId, std::uint64_t> op_trace_seq_;

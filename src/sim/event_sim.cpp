@@ -1,54 +1,27 @@
 #include "sim/event_sim.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace mot {
 
-std::uint64_t Simulator::schedule(SimTime delay, std::function<void()> action) {
+void Simulator::schedule(SimTime delay, std::function<void()> action) {
   MOT_EXPECTS(delay >= 0.0);
   MOT_EXPECTS(action != nullptr);
-  const std::uint64_t id = next_id_++;
-  queue_.push({now_ + delay, id, std::move(action)});
-  ++live_events_;
-  return id;
-}
-
-bool Simulator::cancel(std::uint64_t event_id) {
-  if (event_id >= next_id_) return false;
-  // Lazy cancellation: remember the id; the event is skipped when popped.
-  if (std::find(cancelled_.begin(), cancelled_.end(), event_id) !=
-      cancelled_.end()) {
-    return false;
-  }
-  cancelled_.push_back(event_id);
-  if (live_events_ > 0) --live_events_;
-  return true;
+  queue_.push({now_ + delay, next_id_++, std::move(action)});
 }
 
 bool Simulator::pop_and_run() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; we need to move the action out, so
-    // const_cast on a value we immediately pop. The queue never reads the
-    // moved-from action again.
-    Event& top = const_cast<Event&>(queue_.top());
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), top.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      queue_.pop();
-      continue;
-    }
-    MOT_CHECK(top.time >= now_);
-    now_ = top.time;
-    auto action = std::move(top.action);
-    queue_.pop();
-    --live_events_;
-    action();
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  // priority_queue::top is const; we need to move the action out, so
+  // const_cast on a value we immediately pop. The queue never reads the
+  // moved-from action again.
+  Event& top = const_cast<Event&>(queue_.top());
+  MOT_CHECK(top.time >= now_);
+  now_ = top.time;
+  auto action = std::move(top.action);
+  queue_.pop();
+  action();
+  return true;
 }
 
 std::size_t Simulator::run(std::size_t max_events) {

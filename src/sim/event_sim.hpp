@@ -23,12 +23,8 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  // Schedules `action` to run at now() + delay. Returns an event id.
-  std::uint64_t schedule(SimTime delay, std::function<void()> action);
-
-  // Cancels a scheduled event. Returns false if it already ran or the id
-  // is unknown (cancellation is lazy: the slot is tombstoned).
-  bool cancel(std::uint64_t event_id);
+  // Schedules `action` to run at now() + delay.
+  void schedule(SimTime delay, std::function<void()> action);
 
   // Runs events until the queue drains. Returns the number processed.
   // `max_events` guards against runaway feedback loops in tests.
@@ -37,8 +33,8 @@ class Simulator {
   // Runs events with time <= deadline.
   std::size_t run_until(SimTime deadline);
 
-  bool empty() const { return live_events_ == 0; }
-  std::size_t pending() const { return live_events_; }
+  bool empty() const { return queue_.empty(); }
+  std::size_t pending() const { return queue_.size(); }
 
  private:
   struct Event {
@@ -56,9 +52,7 @@ class Simulator {
 
   SimTime now_ = 0.0;
   std::uint64_t next_id_ = 0;
-  std::size_t live_events_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::vector<std::uint64_t> cancelled_;  // sorted lazily
 };
 
 }  // namespace mot

@@ -14,6 +14,7 @@
 // the end. This is what the truncation/corruption fuzz tests lock in.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,6 +46,18 @@ enum class WireType : std::uint8_t {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+
+  // A writer whose buffer starts with `headroom` zero bytes that size()
+  // and data() skip: room for an envelope written in place later (see
+  // finish_frame). Reserving `capacity` bytes up front makes a typical
+  // frame one allocation.
+  ByteWriter(std::size_t headroom, std::size_t capacity)
+      : headroom_(headroom) {
+    out_.reserve(std::max(headroom, capacity));
+    out_.resize(headroom);
+  }
+
   void u8(std::uint8_t value) { out_.push_back(value); }
 
   void varint(std::uint64_t value) {
@@ -107,12 +120,21 @@ class ByteWriter {
     bytes(data);
   }
 
-  std::size_t size() const { return out_.size(); }
-  std::span<const std::uint8_t> data() const { return out_; }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  // Bytes written after the headroom.
+  std::size_t size() const { return out_.size() - headroom_; }
+  std::span<const std::uint8_t> data() const {
+    return std::span<const std::uint8_t>(out_).subspan(headroom_);
+  }
+  std::size_t headroom() const { return headroom_; }
+  // The whole buffer, headroom included.
+  std::vector<std::uint8_t> take() {
+    headroom_ = 0;
+    return std::move(out_);
+  }
 
  private:
   std::vector<std::uint8_t> out_;
+  std::size_t headroom_ = 0;
 };
 
 class ByteReader {

@@ -1,5 +1,7 @@
 #include "wire/frames.hpp"
 
+#include <bit>
+
 namespace mot::wire {
 namespace {
 
@@ -17,12 +19,19 @@ DecodeError open_body(std::span<const std::uint8_t> payload,
   return DecodeError::kNone;
 }
 
-// Packed varint list inside one length-delimited field.
+std::size_t varint_size(std::uint64_t value) {
+  return (static_cast<std::size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
+// Packed varint list inside one length-delimited field, written straight
+// into `out` (the length prefix is computed first, so no scratch buffer).
 void field_packed_varints(ByteWriter& out, std::uint32_t id,
                           std::span<const std::uint64_t> values) {
-  ByteWriter packed;
-  for (const std::uint64_t value : values) packed.varint(value);
-  out.field_bytes(id, packed.data());
+  std::size_t length = 0;
+  for (const std::uint64_t value : values) length += varint_size(value);
+  out.tag(id, WireType::kBytes);
+  out.varint(length);
+  for (const std::uint64_t value : values) out.varint(value);
 }
 
 std::vector<std::uint64_t> read_packed_varints(ByteReader& in) {
@@ -88,7 +97,7 @@ const char* cluster_op_name(ClusterOp op) {
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& frame,
                                        std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, frame.shard);
   body.field_varint(2, frame.num_shards);
   body.field_varint(3, frame.listen_port);
@@ -145,7 +154,7 @@ DecodeError decode_hello(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckFrame& frame,
                                            std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, frame.version);
   std::vector<std::uint64_t> ports(frame.peer_ports.begin(),
                                    frame.peer_ports.end());
@@ -188,7 +197,7 @@ DecodeError decode_hello_ack(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_control(const ControlFrame& frame,
                                          std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, static_cast<std::uint64_t>(frame.op));
   if (frame.object != 0) body.field_varint(2, frame.object);
   if (frame.node != kInvalidNode) body.field_fixed32(3, frame.node);
@@ -240,7 +249,7 @@ DecodeError decode_control(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_complete(const CompleteFrame& frame,
                                           std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, static_cast<std::uint64_t>(frame.op));
   if (frame.object != 0) body.field_varint(2, frame.object);
   if (frame.query_id != 0) body.field_varint(3, frame.query_id);
@@ -305,7 +314,7 @@ DecodeError decode_complete(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_probe(const ProbeFrame& frame,
                                        std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, frame.token);
   return finish_frame(FrameKind::kProbe, version, std::move(body));
 }
@@ -333,10 +342,10 @@ DecodeError decode_probe(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_probe_reply(const ProbeReplyFrame& frame,
                                              std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, frame.token);
-  body.field_varint(2, frame.forwarded);
-  body.field_varint(3, frame.injected);
+  if (!frame.sent.empty()) field_packed_varints(body, 4, frame.sent);
+  if (!frame.received.empty()) field_packed_varints(body, 5, frame.received);
   return finish_frame(FrameKind::kProbeReply, version, std::move(body));
 }
 
@@ -356,11 +365,11 @@ DecodeError decode_probe_reply(std::span<const std::uint8_t> payload,
       case 1:
         out->token = in.varint();
         break;
-      case 2:
-        out->forwarded = in.varint();
+      case 4:
+        out->sent = read_packed_varints(in);
         break;
-      case 3:
-        out->injected = in.varint();
+      case 5:
+        out->received = read_packed_varints(in);
         break;
       default:
         in.skip(type);
@@ -375,7 +384,7 @@ DecodeError decode_probe_reply(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_load_report(const LoadReportFrame& frame,
                                              std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   field_packed_varints(body, 1, frame.loads);
   if (frame.meter_total != 0.0) body.field_f64(2, frame.meter_total);
   return finish_frame(FrameKind::kLoadReport, version, std::move(body));
@@ -529,7 +538,7 @@ DecodeError decode_metric(ByteReader& in, obs::MetricSnapshot* out) {
 
 std::vector<std::uint8_t> encode_telemetry_report(
     const TelemetryReportFrame& frame, std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   if (frame.shard != 0) body.field_varint(1, frame.shard);
   for (const obs::MetricSnapshot& metric : frame.metrics) {
     encode_metric(metric, body);
@@ -573,12 +582,12 @@ DecodeError decode_telemetry_report(std::span<const std::uint8_t> payload,
 }
 
 std::vector<std::uint8_t> encode_shutdown(std::uint8_t version) {
-  return finish_frame(FrameKind::kShutdown, version, ByteWriter{});
+  return finish_frame(FrameKind::kShutdown, version, frame_body());
 }
 
 std::vector<std::uint8_t> encode_loopback(const LoopbackFrame& frame,
                                           std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   body.field_varint(1, frame.seq);
   return finish_frame(FrameKind::kLoopback, version, std::move(body));
 }

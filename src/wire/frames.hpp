@@ -1,6 +1,6 @@
 // Control-plane payloads of the multi-process cluster runner: bootstrap
 // handshake (Hello / HelloAck), operation injection (Control), operation
-// completion (Complete), the four-counter quiescence probe, storage-load
+// completion (Complete), the per-link quiescence probe, storage-load
 // reporting and shutdown. Same framing and compat rules as kMessage
 // (message_codec.hpp): tagged fields, unknown ids skipped, ascending
 // version bytes negotiated down to the oldest peer.
@@ -46,7 +46,7 @@ enum class ClusterOp : std::uint8_t {
   kPublish = 1,
   kMove = 2,
   kQuery = 3,
-  kNotePosition = 4,  // object position broadcast (no walker injected)
+  kNotePosition = 4,  // object position note (no walker, no reply)
   kReportLoad = 5,    // reply with a LoadReport
   kReportTelemetry = 6,  // reply with a TelemetryReport
 };
@@ -82,15 +82,17 @@ struct ProbeFrame {
   bool operator==(const ProbeFrame&) const = default;
 };
 
-// A worker answers a probe only once its simulator is idle and its
-// sockets are drained; `forwarded` / `injected` count kMessage frames it
-// has shipped to / accepted from peers. The coordinator declares global
-// quiescence when two consecutive probe waves return identical counters
-// with sum(forwarded) == sum(injected) (Mattern's four-counter method).
+// A worker answers a probe only once its simulator is idle and every
+// mesh frame it staged has been flushed. `sent[j]` / `received[j]` count
+// the kMessage frames it has staged to / taken in from shard j, one entry
+// per shard (packed-varint fields 4 and 5, omitted when empty). The
+// coordinator declares global quiescence on the first wave in which every
+// ordered link balances, sent_i[j] == received_j[i] (netio::judge_wave,
+// DESIGN.md §11). Field ids 2 and 3 are retired and must not be reused.
 struct ProbeReplyFrame {
   std::uint64_t token = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t injected = 0;
+  std::vector<std::uint64_t> sent;
+  std::vector<std::uint64_t> received;
 
   bool operator==(const ProbeReplyFrame&) const = default;
 };

@@ -64,14 +64,25 @@ const char* frame_kind_name(FrameKind kind) {
 
 std::vector<std::uint8_t> finish_frame(FrameKind kind, std::uint8_t version,
                                        ByteWriter body) {
-  const std::vector<std::uint8_t> fields = body.take();
-  ByteWriter out;
+  const std::size_t fields = body.size();
+  std::vector<std::uint8_t> out;
+  if (body.headroom() == kFrameHeaderBytes) {
+    out = body.take();
+  } else {
+    const std::span<const std::uint8_t> written = body.data();
+    out.reserve(kFrameHeaderBytes + fields);
+    out.resize(kFrameHeaderBytes);
+    out.insert(out.end(), written.begin(), written.end());
+  }
   // Payload = version + kind + fields.
-  out.fixed32(static_cast<std::uint32_t>(fields.size() + 2));
-  out.u8(version);
-  out.u8(static_cast<std::uint8_t>(kind));
-  out.bytes(fields);
-  return out.take();
+  const auto length = static_cast<std::uint32_t>(fields + 2);
+  out[0] = static_cast<std::uint8_t>(length);
+  out[1] = static_cast<std::uint8_t>(length >> 8);
+  out[2] = static_cast<std::uint8_t>(length >> 16);
+  out[3] = static_cast<std::uint8_t>(length >> 24);
+  out[4] = version;
+  out[5] = static_cast<std::uint8_t>(kind);
+  return out;
 }
 
 DecodeError split_frame(std::span<const std::uint8_t> buffer,
@@ -237,7 +248,7 @@ DecodeError decode_message_fields(ByteReader& in, MessageFrame* frame) {
 
 std::vector<std::uint8_t> encode_message_frame(const MessageFrame& frame,
                                                std::uint8_t version) {
-  ByteWriter body;
+  ByteWriter body = frame_body();
   encode_message_fields(frame.message, version, body);
   if (frame.from != kInvalidNode) {
     body.field_fixed32(kFFrom, frame.from);

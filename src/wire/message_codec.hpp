@@ -59,7 +59,18 @@ struct FrameHeader {
   FrameKind kind = FrameKind::kMessage;
 };
 
-// Prepends the length prefix and envelope to `body`, consuming it.
+// Bytes ahead of the body in an encoded frame: the u32 length prefix,
+// the version and the kind.
+inline constexpr std::size_t kFrameHeaderBytes = 6;
+
+// A body writer that leaves room for the envelope, so finish_frame()
+// completes the frame in the same buffer: one allocation for a typical
+// frame, and no copy of the body.
+inline ByteWriter frame_body() { return ByteWriter(kFrameHeaderBytes, 64); }
+
+// Writes the length prefix and envelope in front of `body`, consuming
+// it. A body from frame_body() is finished in place; any other writer's
+// bytes are copied behind a fresh header.
 std::vector<std::uint8_t> finish_frame(FrameKind kind, std::uint8_t version,
                                        ByteWriter body);
 

@@ -43,22 +43,6 @@ TEST(Simulator, NestedScheduling) {
   EXPECT_DOUBLE_EQ(times[1], 3.0);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  const auto id = sim.schedule(1.0, [&] { ran = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // double cancel
-  sim.run();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(Simulator, CancelUnknownIdFails) {
-  Simulator sim;
-  EXPECT_FALSE(sim.cancel(42));
-}
-
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   std::vector<double> times;

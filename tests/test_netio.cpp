@@ -287,7 +287,9 @@ void run_cluster_parity(std::uint32_t num_shards,
   ref_sim.run();
   ASSERT_TRUE(coordinator.publish(kObject, kStart));
 
-  for (const WorkloadStep& step : make_workload(fx, kStart, 25, 0xc1u)) {
+  const std::vector<WorkloadStep> workload =
+      make_workload(fx, kStart, 25, 0xc1u);
+  for (const WorkloadStep& step : workload) {
     MoveResult expected_move;
     reference.move(kObject, step.move_to,
                    [&](const MoveResult& r) { expected_move = r; });
@@ -323,6 +325,12 @@ void run_cluster_parity(std::uint32_t num_shards,
   // shards, so allow for associativity rounding.
   EXPECT_NEAR(cluster_meter, reference.meter().total_distance(),
               1e-6 * (1.0 + reference.meter().total_distance()));
+
+  // The per-link rule settles an op in one wave unless a mesh frame is
+  // still unread when a shard answers, so waves stay below two per op.
+  const std::uint64_t ops = 1 + 2 * workload.size();
+  EXPECT_GE(coordinator.probe_waves(), ops);
+  EXPECT_LT(coordinator.probe_waves(), 2 * ops);
 
   coordinator.shutdown();
   for (auto& thread : threads) thread.join();
@@ -446,6 +454,93 @@ TEST(NetCluster, TracedRunYieldsConnectedSpanTreesAndMeterParity) {
       << "every charged hop must belong to a span";
   EXPECT_NEAR(report.span_cost, ref_meter, 1e-6 * (1.0 + ref_meter));
   EXPECT_NEAR(cluster_meter, ref_meter, 1e-6 * (1.0 + ref_meter));
+}
+
+// --- The per-link quiescence rule ----------------------------------------
+
+wire::ProbeReplyFrame reply_of(std::vector<std::uint64_t> sent,
+                               std::vector<std::uint64_t> received) {
+  wire::ProbeReplyFrame reply;
+  reply.token = 1;
+  reply.sent = std::move(sent);
+  reply.received = std::move(received);
+  return reply;
+}
+
+TEST(NetCluster, BalancedWaveIsConclusiveOnItsOwn) {
+  // Shard 0 sent 2 frames to 1 and 1 to 2, shard 1 sent 3 to 2, and
+  // every one of them was taken in before its receiver replied.
+  const std::vector<wire::ProbeReplyFrame> wave = {
+      reply_of({0, 2, 1}, {0, 0, 0}),
+      reply_of({0, 0, 3}, {2, 0, 0}),
+      reply_of({0, 0, 0}, {1, 3, 0}),
+  };
+  EXPECT_EQ(netio::judge_wave(wave), netio::WaveVerdict::kQuiescent);
+}
+
+TEST(NetCluster, WaveWithBalancedSumsButAnUnbalancedLinkIsInFlight) {
+  // The interleaving that fools a one-wave sum check: shard 0's frame to
+  // 1 is counted as sent but not yet received, offset by a frame 1 took
+  // in from 2 that 2 sent after its own reply. Sums balance (1 == 1);
+  // links 0->1 and 2->1 do not.
+  const std::vector<wire::ProbeReplyFrame> wave = {
+      reply_of({0, 1, 0}, {0, 0, 0}),
+      reply_of({0, 0, 0}, {0, 0, 1}),
+      reply_of({0, 0, 0}, {0, 0, 0}),
+  };
+  EXPECT_EQ(netio::judge_wave(wave), netio::WaveVerdict::kInFlight);
+}
+
+TEST(NetCluster, WaveWithoutFullLinkCountsIsMalformed) {
+  const wire::ProbeReplyFrame full = reply_of({0, 0}, {0, 0});
+  // Missing, short and overlong count vectors on one shard's reply.
+  for (const wire::ProbeReplyFrame& bad :
+       {reply_of({}, {}), reply_of({0}, {0, 0}), reply_of({0, 0}, {0}),
+        reply_of({0, 0, 0}, {0, 0, 0})}) {
+    const std::vector<wire::ProbeReplyFrame> wave = {full, bad};
+    EXPECT_EQ(netio::judge_wave(wave), netio::WaveVerdict::kMalformed);
+  }
+}
+
+TEST(NetCluster, ProbeReplyWithoutLinkCountsFailsTheOpInsteadOfHanging) {
+  // A hand-driven one-shard "worker" answers the query, then replies to
+  // the probe with no link counts: the coordinator must give up on the
+  // op, not probe forever.
+  ClusterCoordinator coordinator(1);
+  ASSERT_TRUE(coordinator.open());
+  std::thread fake([port = coordinator.port()] {
+    FrameStream control(netio::connect_loopback(port));
+    wire::HelloFrame hello;
+    hello.num_shards = 1;
+    if (!control.send(wire::encode_hello(hello))) return;
+    std::vector<std::uint8_t> payload;
+    while (control.recv(&payload, /*block=*/true) ==
+           wire::DecodeError::kNone) {
+      wire::ByteReader reader(payload);
+      wire::FrameHeader header;
+      if (wire::read_frame_header(reader, &header) !=
+              wire::DecodeError::kNone ||
+          header.kind == wire::FrameKind::kShutdown) {
+        return;
+      }
+      wire::ControlFrame op;
+      wire::ProbeFrame probe;
+      if (wire::decode_control(payload, &op) == wire::DecodeError::kNone) {
+        control.send(wire::encode_complete(
+            {.op = op.op, .query_id = op.query_id}));
+      } else if (wire::decode_probe(payload, &probe) ==
+                 wire::DecodeError::kNone) {
+        wire::ProbeReplyFrame bare;  // no link counts at all
+        bare.token = probe.token;
+        control.send(wire::encode_probe_reply(bare));
+      }
+    }
+  });
+  ASSERT_TRUE(coordinator.bootstrap());
+  EXPECT_FALSE(coordinator.query(0, 0).has_value());
+  EXPECT_EQ(coordinator.probe_waves(), 1u);
+  coordinator.shutdown();
+  fake.join();
 }
 
 TEST(NetCluster, BootstrapRejectsDivergentWorlds) {

@@ -549,10 +549,16 @@ TEST(WireFrames, ControlPlaneRoundTrips) {
         DecodeError::kNone);
     EXPECT_EQ(complete2, complete);
 
+    // Per-link counts: empty vectors (omitted fields) and full-range
+    // values alike.
     wire::ProbeReplyFrame reply;
     reply.token = rng();
-    reply.forwarded = rng() % 1000000;
-    reply.injected = rng() % 1000000;
+    for (std::uint64_t n = rng() % 6; n > 0; --n) {
+      reply.sent.push_back(rng.chance(0.5) ? rng() % 1000 : rng());
+    }
+    for (std::uint64_t n = rng() % 6; n > 0; --n) {
+      reply.received.push_back(rng.chance(0.5) ? rng() % 1000 : rng());
+    }
     wire::ProbeReplyFrame reply2;
     ASSERT_EQ(wire::decode_probe_reply(body_of(wire::encode_probe_reply(reply)),
                                        &reply2),
