@@ -70,10 +70,11 @@ BENCHMARK(BM_CachedOracleQueryWarm);
 
 void BM_BoundedDijkstraSmallBall(benchmark::State& state) {
   const Graph graph = make_grid(32, 32);
+  BallSearch search;
   Rng rng(7);
   for (auto _ : state) {
     const auto center = static_cast<NodeId>(rng.below(1024));
-    benchmark::DoNotOptimize(dijkstra_bounded(graph, center, 4.0));
+    benchmark::DoNotOptimize(search.around(graph, center, 4.0).size());
   }
 }
 BENCHMARK(BM_BoundedDijkstraSmallBall);

@@ -50,15 +50,20 @@ print(f"telemetry smoke ok: {len(records)} run records, "
       f"{len(events)} trace events, kinds={len(kinds)}")
 PYEOF
 
-echo "== parallel smoke: fig04 --threads 1 vs --threads 4 =="
+echo "== parallel smoke: figures at --threads 1 vs --threads 4 =="
+# fig09 checks the detection store's load accounting with MOT-LB
+# delegates; fig12 runs the concurrent engine.
 PAR_ARGS=(--sizes 16,64 --seeds 2 --moves 20 --log-level error)
-./build/bench/fig04_maint_100 --threads 1 "${PAR_ARGS[@]}" \
-  --csv "${SMOKE_DIR}/fig04_t1.csv" > /dev/null
-./build/bench/fig04_maint_100 --threads 4 "${PAR_ARGS[@]}" \
-  --csv "${SMOKE_DIR}/fig04_t4.csv" > /dev/null
-diff "${SMOKE_DIR}/fig04_t1.csv" "${SMOKE_DIR}/fig04_t4.csv" \
-  || { echo "fig04 output differs between 1 and 4 threads"; exit 1; }
-echo "parallel smoke ok: fig04 CSV byte-identical at 1 and 4 threads"
+for FIG in fig04_maint_100 fig06_query_100 fig09_load_maint_stun \
+    fig12_maint_conc_100; do
+  for THREADS in 1 4; do
+    "./build/bench/${FIG}" --threads "${THREADS}" "${PAR_ARGS[@]}" \
+      --csv "${SMOKE_DIR}/${FIG}_t${THREADS}.csv" > /dev/null
+  done
+  diff "${SMOKE_DIR}/${FIG}_t1.csv" "${SMOKE_DIR}/${FIG}_t4.csv" \
+    || { echo "${FIG} output differs between 1 and 4 threads"; exit 1; }
+done
+echo "parallel smoke ok: fig04/06/09/12 CSVs byte-identical at 1 and 4 threads"
 
 echo "== throughput: batched >= unbatched + worker-count byte-identity =="
 # Short sustained run; the bench exits nonzero if the batched engine is

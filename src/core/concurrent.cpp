@@ -33,8 +33,6 @@ struct ConcurrentEngine::MoveCtx {
 
 struct ConcurrentEngine::QueryCtx {
   ObjectId object = 0;
-  NodeId origin = kInvalidNode;
-  NodeId climb_source = kInvalidNode;
   std::span<const PathStop> sequence;
   std::size_t index = 0;
   Weight cost = 0.0;
@@ -47,8 +45,6 @@ ConcurrentEngine::ConcurrentEngine(const PathProvider& provider,
                                    Simulator& sim,
                                    const ChainOptions& options)
     : provider_(&provider), sim_(&sim), options_(options) {}
-
-ConcurrentEngine::~ConcurrentEngine() = default;
 
 Weight ConcurrentEngine::distance(NodeId a, NodeId b) const {
   return a == b ? 0.0 : provider_->oracle().distance(a, b);
@@ -80,16 +76,8 @@ void ConcurrentEngine::charge_access(OverlayNode owner, ObjectId object,
 
 const ConcurrentEngine::Entry* ConcurrentEngine::find_entry(
     OverlayNode owner, ObjectId object) const {
-  const auto node_it = state_.find(owner);
-  if (node_it == state_.end()) return nullptr;
-  const auto dl_it = node_it->second.dl.find(object);
-  return dl_it == node_it->second.dl.end() ? nullptr : &dl_it->second;
-}
-
-ConcurrentEngine::Entry* ConcurrentEngine::find_entry(OverlayNode owner,
-                                                      ObjectId object) {
-  return const_cast<Entry*>(
-      static_cast<const ConcurrentEngine*>(this)->find_entry(owner, object));
+  const tracking::ObjectChain* chain = store_.find(object);
+  return chain == nullptr ? nullptr : chain->find(owner);
 }
 
 void ConcurrentEngine::install_entry(OverlayNode owner, ObjectId object,
@@ -97,60 +85,24 @@ void ConcurrentEngine::install_entry(OverlayNode owner, ObjectId object,
                                      std::optional<OverlayNode> sp,
                                      Weight* op_cost) {
   if (!options_.use_special_lists) sp.reset();
-  NodeState& node = state_[owner];
-  node.forwards.erase(object);  // a live entry supersedes any old pointer
-  MOT_CHECK(node.dl.count(object) == 0);
-  node.dl.emplace(object, Entry{next_entry_id_++, child, sp});
+  tracking::ObjectChain& chain = store_.chain(object);
+  chain.insert(owner, {child, sp});
   if (sp) {
     if (options_.charge_special_updates) {
       charge(distance(owner.node, sp->node), op_cost, object, obs::Ev::kSpHop,
              owner.node, sp->node);
       charge_access(*sp, object, op_cost);
     }
-    state_[*sp].sdl[object].push_back(owner);
-  }
-}
-
-void ConcurrentEngine::erase_entry(OverlayNode owner, ObjectId object,
-                                   Weight* op_cost) {
-  auto node_it = state_.find(owner);
-  MOT_CHECK(node_it != state_.end());
-  auto dl_it = node_it->second.dl.find(object);
-  MOT_CHECK(dl_it != node_it->second.dl.end());
-  const Entry entry = dl_it->second;
-  node_it->second.dl.erase(dl_it);
-  if (options_.forwarding_pointers && erase_forward_hint_ != kInvalidNode) {
-    // Section 3's improvement: the delete leaves the object's new
-    // location behind, so a torn-descent query redirects on the spot.
-    node_it->second.forwards[object] = erase_forward_hint_;
-  }
-  if (entry.sp) {
-    if (options_.charge_special_updates) {
-      charge(distance(owner.node, entry.sp->node), op_cost, object,
-             obs::Ev::kSpHop, owner.node, entry.sp->node);
-      charge_access(*entry.sp, object, op_cost);
-    }
-    auto sp_it = state_.find(*entry.sp);
-    MOT_CHECK(sp_it != state_.end());
-    auto sdl_it = sp_it->second.sdl.find(object);
-    MOT_CHECK(sdl_it != sp_it->second.sdl.end());
-    const auto pos =
-        std::find(sdl_it->second.begin(), sdl_it->second.end(), owner);
-    MOT_CHECK(pos != sdl_it->second.end());
-    sdl_it->second.erase(pos);
-    if (sdl_it->second.empty()) sp_it->second.sdl.erase(sdl_it);
+    chain.add_sdl(*sp, owner);
   }
 }
 
 void ConcurrentEngine::publish(ObjectId object, NodeId proxy) {
   MOT_EXPECTS(physical_.count(object) == 0);
   const auto sequence = provider_->upward_sequence(proxy);
-  const OverlayNode bottom = sequence.front().node;
-  charge_access(bottom, object, nullptr);
-  install_entry(bottom, object, bottom, provider_->special_parent(proxy, 0),
-                nullptr);
-  OverlayNode previous = bottom;
-  for (std::size_t i = 1; i < sequence.size(); ++i) {
+  // The bottom entry is the proxy sentinel: its child points to itself.
+  OverlayNode previous = sequence.front().node;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
     const OverlayNode stop = sequence[i].node;
     charge(distance(previous.node, stop.node), nullptr, object,
            obs::Ev::kClimbHop, previous.node, stop.node);
@@ -210,14 +162,20 @@ void ConcurrentEngine::move_step(const std::shared_ptr<MoveCtx>& ctx) {
     move_candidate_meet(ctx);
     return;
   }
+  move_climb(ctx, ctx->index + 1);
+}
+
+void ConcurrentEngine::move_climb(const std::shared_ptr<MoveCtx>& ctx,
+                                  std::size_t index) {
   // The root stop always holds every published object.
-  MOT_CHECK(ctx->index + 1 < ctx->sequence.size());
-  const OverlayNode next = ctx->sequence[ctx->index + 1].node;
-  charge(distance(stop.node, next.node), &ctx->cost, ctx->object,
-         obs::Ev::kClimbHop, stop.node, next.node);
-  ++ctx->index;
-  sim_->schedule(distance(stop.node, next.node),
-                 [this, ctx] { move_step(ctx); });
+  MOT_CHECK(index < ctx->sequence.size());
+  const OverlayNode from = ctx->sequence[index - 1].node;
+  const OverlayNode next = ctx->sequence[index].node;
+  const Weight hop = distance(from.node, next.node);
+  charge(hop, &ctx->cost, ctx->object, obs::Ev::kClimbHop, from.node,
+         next.node);
+  ctx->index = index;
+  sim_->schedule(hop, [this, ctx] { move_step(ctx); });
 }
 
 void ConcurrentEngine::move_candidate_meet(
@@ -240,15 +198,7 @@ void ConcurrentEngine::move_candidate_meet(
   if (find_entry(ctx->sequence[ctx->meet_index].node, ctx->object) ==
       nullptr) {
     ++stats_.meet_rechecks_failed;
-    // Resume climbing from the vanished meet stop.
-    MOT_CHECK(ctx->meet_index + 1 < ctx->sequence.size());
-    const OverlayNode from = ctx->sequence[ctx->meet_index].node;
-    const OverlayNode next = ctx->sequence[ctx->meet_index + 1].node;
-    ctx->index = ctx->meet_index + 1;
-    charge(distance(from.node, next.node), &ctx->cost, ctx->object,
-           obs::Ev::kClimbHop, from.node, next.node);
-    sim_->schedule(distance(from.node, next.node),
-                   [this, ctx] { move_step(ctx); });
+    move_climb(ctx, ctx->meet_index + 1);  // resume from the vanished meet
     return;
   }
   move_commit(ctx);
@@ -275,9 +225,10 @@ void ConcurrentEngine::move_commit(const std::shared_ptr<MoveCtx>& ctx) {
                .level = meet.level});
   }
 
-  Entry* meet_entry = find_entry(meet, object);
+  const Entry* meet_entry = find_entry(meet, object);
   MOT_CHECK(meet_entry != nullptr);
-  const bool meet_was_sentinel = meet_entry->child == meet;
+  const OverlayNode first_victim = meet_entry->child;
+  const bool meet_was_sentinel = first_victim == meet;
   if (meet_was_sentinel && meet.node == ctx->to) {
     // The chain already ends at our destination (the object bounced back
     // before the structure ever saw it leave): nothing to splice or tear.
@@ -292,22 +243,15 @@ void ConcurrentEngine::move_commit(const std::shared_ptr<MoveCtx>& ctx) {
   // special-parent bookkeeping is charged here). A meet at index 0 means
   // the new proxy is an ancestor of the old one: the meet entry itself
   // becomes the proxy sentinel and the fragment is empty.
-  OverlayNode previous = meet;  // becomes the splice target's new child
-  if (ctx->meet_index > 0) {
-    const OverlayNode bottom = ctx->sequence[0].node;
-    install_entry(bottom, object, bottom,
-                  provider_->special_parent(ctx->to, 0), &ctx->cost);
-    previous = bottom;
-    for (std::size_t i = 1; i < ctx->meet_index; ++i) {
-      const OverlayNode stop = ctx->sequence[i].node;
-      install_entry(stop, object, previous,
-                    provider_->special_parent(ctx->to, i), &ctx->cost);
-      previous = stop;
-    }
+  OverlayNode previous = ctx->sequence[0].node;
+  for (std::size_t i = 0; i < ctx->meet_index; ++i) {
+    const OverlayNode stop = ctx->sequence[i].node;
+    install_entry(stop, object, previous,
+                  provider_->special_parent(ctx->to, i), &ctx->cost);
+    previous = stop;
   }
-
-  const OverlayNode first_victim = meet_entry->child;
-  meet_entry->child = previous;  // meet_index == 0: self, the new sentinel
+  // Found again: installing may have moved the object's entries.
+  store_.find(object)->find(meet)->child = previous;
 
   if (meet_was_sentinel) {
     // The meet was the old proxy itself (the new proxy sits below it in
@@ -322,37 +266,41 @@ void ConcurrentEngine::move_commit(const std::shared_ptr<MoveCtx>& ctx) {
   const Weight hop = distance(meet.node, first_victim.node);
   charge(hop, &ctx->cost, object, obs::Ev::kDeleteHop, meet.node,
          first_victim.node);
-  sim_->schedule(hop, [this, ctx, first_victim, from = meet.node] {
-    delete_step(ctx, first_victim, from);
-  });
+  sim_->schedule(hop,
+                 [this, ctx, first_victim] { delete_step(ctx, first_victim); });
 }
 
 void ConcurrentEngine::delete_step(const std::shared_ptr<MoveCtx>& ctx,
-                                   OverlayNode current,
-                                   NodeId previous_physical) {
-  (void)previous_physical;
-  charge_access(current, ctx->object, &ctx->cost);
-  const Entry* entry = find_entry(current, ctx->object);
+                                   OverlayNode current) {
+  const ObjectId object = ctx->object;
+  charge_access(current, object, &ctx->cost);
   // Under the token discipline the fragment is untouchable by anyone
   // else, so the entry must still be there.
-  MOT_CHECK(entry != nullptr);
-  const OverlayNode next = entry->child;
-  erase_forward_hint_ = ctx->to;
-  erase_entry(current, ctx->object, &ctx->cost);
-  erase_forward_hint_ = kInvalidNode;
-  if (next == current) {
+  tracking::ObjectChain& chain = *store_.find(object);
+  const Entry entry = chain.erase(current);
+  // Section 3's improvement: the delete leaves the object's new location
+  // behind, so a torn-descent query redirects on the spot.
+  if (options_.forwarding_pointers) chain.set_forward(current, ctx->to);
+  if (entry.sp) {
+    if (options_.charge_special_updates) {
+      charge(distance(current.node, entry.sp->node), &ctx->cost, object,
+             obs::Ev::kSpHop, current.node, entry.sp->node);
+      charge_access(*entry.sp, object, &ctx->cost);
+    }
+    chain.remove_sdl(*entry.sp, current);
+  }
+  if (entry.child == current) {
     // Old proxy sentinel reached: wake queries parked here with the new
     // location (the delete message carries it — Section 3).
-    notify_waiters(current.node, ctx->object, ctx->to);
+    notify_waiters(current.node, object, ctx->to);
     move_finish(ctx);
     return;
   }
+  const OverlayNode next = entry.child;
   const Weight hop = distance(current.node, next.node);
-  charge(hop, &ctx->cost, ctx->object, obs::Ev::kDeleteHop, current.node,
+  charge(hop, &ctx->cost, object, obs::Ev::kDeleteHop, current.node,
          next.node);
-  sim_->schedule(hop, [this, ctx, next, from = current.node] {
-    delete_step(ctx, next, from);
-  });
+  sim_->schedule(hop, [this, ctx, next] { delete_step(ctx, next); });
 }
 
 void ConcurrentEngine::move_finish(const std::shared_ptr<MoveCtx>& ctx) {
@@ -394,8 +342,6 @@ void ConcurrentEngine::start_query(NodeId from, ObjectId object,
   MOT_EXPECTS(from < provider_->num_nodes());
   auto ctx = std::make_shared<QueryCtx>();
   ctx->object = object;
-  ctx->origin = from;
-  ctx->climb_source = from;
   ctx->sequence = provider_->upward_sequence(from);
   ctx->done = std::move(done);
   ++inflight_;
@@ -412,23 +358,14 @@ void ConcurrentEngine::query_step(const std::shared_ptr<QueryCtx>& ctx) {
     return;
   }
   if (options_.use_special_lists) {
-    const auto node_it = state_.find(stop);
-    if (node_it != state_.end()) {
-      const auto sdl_it = node_it->second.sdl.find(ctx->object);
-      if (sdl_it != node_it->second.sdl.end() && !sdl_it->second.empty()) {
-        const auto best = std::min_element(
-            sdl_it->second.begin(), sdl_it->second.end(),
-            [](const OverlayNode& a, const OverlayNode& b) {
-              return a.level < b.level;
-            });
-        ctx->found_level = std::max(ctx->found_level, stop.level);
-        const OverlayNode child = *best;
-        const Weight hop = distance(stop.node, child.node);
-        charge(hop, &ctx->cost, ctx->object, obs::Ev::kSdlJump, stop.node,
-               child.node);
-        sim_->schedule(hop, [this, ctx, child] { query_descend(ctx, child); });
-        return;
-      }
+    if (const auto best = store_.find(ctx->object)->lowest_sdl_child(stop)) {
+      ctx->found_level = std::max(ctx->found_level, stop.level);
+      const OverlayNode child = *best;
+      const Weight hop = distance(stop.node, child.node);
+      charge(hop, &ctx->cost, ctx->object, obs::Ev::kSdlJump, stop.node,
+             child.node);
+      sim_->schedule(hop, [this, ctx, child] { query_descend(ctx, child); });
+      return;
     }
   }
   // Climb on; the root stop always holds the object.
@@ -446,31 +383,12 @@ void ConcurrentEngine::query_descend(const std::shared_ptr<QueryCtx>& ctx,
   charge_access(at, ctx->object, &ctx->cost);
   const Entry* entry = find_entry(at, ctx->object);
   if (entry == nullptr) {
-    if (options_.forwarding_pointers) {
-      const auto node_it = state_.find(at);
-      if (node_it != state_.end()) {
-        const auto fwd = node_it->second.forwards.find(ctx->object);
-        if (fwd != node_it->second.forwards.end()) {
-          // The delete that tore this entry left the new location behind:
-          // redirect without ever visiting the stale proxy (Section 3's
-          // improved algorithm).
-          ++stats_.query_pointer_redirects;
-        ++ctx->restarts;  // chases share the restart budget
-        MOT_CHECK(ctx->restarts < kMaxQueryRestarts);
-          ++ctx->restarts;  // chases share the restart budget
-          MOT_CHECK(ctx->restarts < kMaxQueryRestarts);
-          const NodeId target = fwd->second;
-          const OverlayNode bottom =
-              provider_->upward_sequence(target).front().node;
-          const Weight hop = distance(at.node, target);
-          charge(hop, &ctx->cost, ctx->object, obs::Ev::kQueryForward,
-                 at.node, target);
-          sim_->schedule(hop, [this, ctx, bottom] {
-            query_at_bottom(ctx, bottom);
-          });
-          return;
-        }
-      }
+    // The delete that tore this entry may have left the new location
+    // behind: redirect without ever visiting the stale proxy.
+    if (follow_forward(ctx, at)) {
+      ctx->restarts += 2;  // chases count double against the budget
+      MOT_CHECK(ctx->restarts < kMaxQueryRestarts);
+      return;
     }
     // The fragment we were descending was torn underneath us.
     ++stats_.query_restarts;
@@ -484,14 +402,9 @@ void ConcurrentEngine::query_descend(const std::shared_ptr<QueryCtx>& ctx,
   if (options_.shortcut_descent) {
     // Shortcut pointers give the discovering node the proxy's address: we
     // read the chain locally and route directly.
-    OverlayNode walk = at;
-    while (true) {
-      const Entry* step = find_entry(walk, ctx->object);
-      MOT_CHECK(step != nullptr);
-      if (step->child == walk) break;
-      walk = step->child;
-    }
-    const OverlayNode target = walk;
+    const auto sentinel = store_.find(ctx->object)->walk_down(at);
+    MOT_CHECK(sentinel.has_value());
+    const OverlayNode target = *sentinel;
     const Weight hop = distance(at.node, target.node);
     charge(hop, &ctx->cost, ctx->object, obs::Ev::kDescendHop, at.node,
            target.node);
@@ -526,30 +439,26 @@ void ConcurrentEngine::query_at_bottom(const std::shared_ptr<QueryCtx>& ctx,
     query_descend(ctx, bottom);
     return;
   }
-  if (options_.forwarding_pointers) {
-    const auto node_it = state_.find(bottom);
-    if (node_it != state_.end()) {
-      const auto fwd = node_it->second.forwards.find(ctx->object);
-      if (fwd != node_it->second.forwards.end()) {
-        // The delete that cleared this proxy left the new location
-        // behind: chase it directly (Section 3's improved algorithm).
-        ++stats_.query_pointer_redirects;
-        const NodeId target = fwd->second;
-        const OverlayNode next_bottom =
-            provider_->upward_sequence(target).front().node;
-        const Weight hop = distance(bottom.node, target);
-        charge(hop, &ctx->cost, ctx->object, obs::Ev::kQueryForward,
-               bottom.node, target);
-        sim_->schedule(hop, [this, ctx, next_bottom] {
-          query_at_bottom(ctx, next_bottom);
-        });
-        return;
-      }
-    }
-  }
+  // The delete that cleared this proxy may have left the new location
+  // behind: chase it directly.
+  if (follow_forward(ctx, bottom)) return;
   // The delete already passed: climb again from here.
   ++stats_.query_restarts;
   query_restart_from(ctx, bottom.node);
+}
+
+bool ConcurrentEngine::follow_forward(const std::shared_ptr<QueryCtx>& ctx,
+                                      OverlayNode at) {
+  if (!options_.forwarding_pointers) return false;
+  const NodeId target = store_.find(ctx->object)->forward(at);
+  if (target == kInvalidNode) return false;
+  ++stats_.query_pointer_redirects;
+  const OverlayNode bottom = provider_->upward_sequence(target).front().node;
+  const Weight hop = distance(at.node, target);
+  charge(hop, &ctx->cost, ctx->object, obs::Ev::kQueryForward, at.node,
+         target);
+  sim_->schedule(hop, [this, ctx, bottom] { query_at_bottom(ctx, bottom); });
+  return true;
 }
 
 void ConcurrentEngine::query_restart_from(const std::shared_ptr<QueryCtx>& ctx,
@@ -563,7 +472,6 @@ void ConcurrentEngine::query_restart_from(const std::shared_ptr<QueryCtx>& ctx,
                .from = node,
                .aux = static_cast<std::uint64_t>(ctx->restarts)});
   }
-  ctx->climb_source = node;
   ctx->sequence = provider_->upward_sequence(node);
   ctx->index = 0;
   sim_->schedule(0.0, [this, ctx] { query_step(ctx); });
@@ -604,19 +512,6 @@ void ConcurrentEngine::query_finish(const std::shared_ptr<QueryCtx>& ctx,
 
 // ---------------------------------------------------------------------------
 
-std::vector<std::size_t> ConcurrentEngine::load_per_node() const {
-  std::vector<std::size_t> load(provider_->num_nodes(), 0);
-  for (const auto& [owner, node] : state_) {
-    for (const auto& [object, entry] : node.dl) {
-      load[provider_->delegate(owner, object).storage] += 1;
-    }
-    for (const auto& [object, children] : node.sdl) {
-      load[provider_->delegate(owner, object).storage] += children.size();
-    }
-  }
-  return load;
-}
-
 std::string ConcurrentEngine::debug_stuck_report() const {
   std::string report;
   for (const auto& [object, queue] : move_queues_) {
@@ -638,22 +533,10 @@ std::string ConcurrentEngine::debug_stuck_report() const {
               " (physical=" + std::to_string(physical_position(object));
     const Entry* entry = find_entry({0, node}, object);
     report += ", level0_entry=" + std::string(entry ? "yes" : "no");
-    // chain end from root
-    OverlayNode current = provider_->root_stop();
-    while (true) {
-      const Entry* e = find_entry(current, object);
-      if (e == nullptr) {
-        report += ", chain=BROKEN at level " +
-                  std::to_string(current.level);
-        break;
-      }
-      if (e->child == current) {
-        report += ", chain_end=" + std::to_string(current.node) +
-                  "@L" + std::to_string(current.level);
-        break;
-      }
-      current = e->child;
-    }
+    const auto end = store_.find(object)->walk_down(provider_->root_stop());
+    report += end ? ", chain_end=" + std::to_string(end->node) + "@L" +
+                        std::to_string(end->level)
+                  : std::string(", chain=BROKEN");
     report += ")\n";
   }
   return report;
@@ -662,26 +545,7 @@ std::string ConcurrentEngine::debug_stuck_report() const {
 void ConcurrentEngine::validate_quiescent() const {
   MOT_CHECK(inflight_ == 0);
   for (const auto& [object, proxy] : physical_) {
-    // Walk the chain from the root; it must end at the physical position.
-    OverlayNode current = provider_->root_stop();
-    std::size_t chain_length = 0;
-    std::size_t total = 0;
-    for (const auto& [owner, node] : state_) {
-      (void)owner;
-      total += node.dl.count(object);
-    }
-    while (true) {
-      MOT_CHECK(chain_length <= total);
-      const Entry* entry = find_entry(current, object);
-      MOT_CHECK(entry != nullptr);
-      ++chain_length;
-      if (entry->child == current) {  // proxy sentinel
-        MOT_CHECK(current.node == proxy);
-        break;
-      }
-      current = entry->child;
-    }
-    MOT_CHECK(chain_length == total);
+    MOT_CHECK(store_.find(object)->valid(provider_->root_stop(), proxy));
   }
 }
 

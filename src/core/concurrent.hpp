@@ -34,8 +34,8 @@
 
 #include "sim/event_sim.hpp"
 #include "tracking/chain_tracker.hpp"
+#include "tracking/detection_store.hpp"
 #include "tracking/path_provider.hpp"
-#include "util/flat_map.hpp"
 
 namespace mot {
 
@@ -57,7 +57,6 @@ class ConcurrentEngine {
   // `provider` and `sim` must outlive the engine.
   ConcurrentEngine(const PathProvider& provider, Simulator& sim,
                    const ChainOptions& options);
-  ~ConcurrentEngine();
 
   ConcurrentEngine(const ConcurrentEngine&) = delete;
   ConcurrentEngine& operator=(const ConcurrentEngine&) = delete;
@@ -76,7 +75,9 @@ class ConcurrentEngine {
 
   const CostMeter& meter() const { return meter_; }
   const ConcurrentStats& stats() const { return stats_; }
-  std::vector<std::size_t> load_per_node() const;
+  std::vector<std::size_t> load_per_node() const {
+    return store_.load_per_node(*provider_);
+  }
   std::size_t inflight_operations() const { return inflight_; }
 
   // After the simulator drains: every object's chain must run root ->
@@ -88,21 +89,7 @@ class ConcurrentEngine {
   std::string debug_stuck_report() const;
 
  private:
-  struct Entry {
-    std::uint64_t id = 0;
-    OverlayNode child;
-    std::optional<OverlayNode> sp;
-  };
-  struct NodeState {
-    // Flat open-addressed storage (util/flat_map.hpp), shared with the
-    // chain and distributed engines' detection lists.
-    FlatMap<ObjectId, Entry> dl;
-    std::unordered_map<ObjectId, std::vector<OverlayNode>> sdl;
-    // Forwarding pointers left by deletes (Section 3's improved query
-    // handling), only populated when options.forwarding_pointers is on.
-    std::unordered_map<ObjectId, NodeId> forwards;
-  };
-
+  using Entry = tracking::DlEntry;
   struct MoveCtx;
   struct QueryCtx;
 
@@ -115,20 +102,19 @@ class ConcurrentEngine {
   void charge_access(OverlayNode owner, ObjectId object, Weight* op_cost);
 
   const Entry* find_entry(OverlayNode owner, ObjectId object) const;
-  Entry* find_entry(OverlayNode owner, ObjectId object);
   void install_entry(OverlayNode owner, ObjectId object, OverlayNode child,
                      std::optional<OverlayNode> sp, Weight* op_cost);
-  void erase_entry(OverlayNode owner, ObjectId object, Weight* op_cost);
 
   // -- move machinery --
   void move_step(const std::shared_ptr<MoveCtx>& ctx);
+  // Charges and schedules the climb hop up to sequence[index].
+  void move_climb(const std::shared_ptr<MoveCtx>& ctx, std::size_t index);
   void move_candidate_meet(const std::shared_ptr<MoveCtx>& ctx);
   void move_commit(const std::shared_ptr<MoveCtx>& ctx);
   void move_finish(const std::shared_ptr<MoveCtx>& ctx);
   bool holds_token(const MoveCtx& ctx) const;
   void wake_token_waiter(ObjectId object);
-  void delete_step(const std::shared_ptr<MoveCtx>& ctx, OverlayNode current,
-                   NodeId previous_physical);
+  void delete_step(const std::shared_ptr<MoveCtx>& ctx, OverlayNode current);
 
   // -- query machinery --
   void query_step(const std::shared_ptr<QueryCtx>& ctx);
@@ -137,6 +123,9 @@ class ConcurrentEngine {
                        OverlayNode bottom);
   void query_finish(const std::shared_ptr<QueryCtx>& ctx, NodeId proxy);
   void query_restart_from(const std::shared_ptr<QueryCtx>& ctx, NodeId node);
+  // Chases the forwarding pointer a delete left at `at` (Section 3's
+  // improved algorithm); false when there is none.
+  bool follow_forward(const std::shared_ptr<QueryCtx>& ctx, OverlayNode at);
   void notify_waiters(NodeId stale_proxy, ObjectId object, NodeId new_proxy);
 
   const PathProvider* provider_;
@@ -145,12 +134,10 @@ class ConcurrentEngine {
   CostMeter meter_;
   ConcurrentStats stats_;
 
-  std::unordered_map<OverlayNode, NodeState, OverlayNodeHash> state_;
-  // Set around erase_entry() by the delete walker so the erased slot can
-  // leave a forwarding pointer (Section 3 improved queries).
-  NodeId erase_forward_hint_ = kInvalidNode;
+  // DL/SDL records, plus the forwarding pointers deletes leave (Section
+  // 3's improved queries) when options.forwarding_pointers is on.
+  tracking::DetectionStore store_;
   std::unordered_map<ObjectId, NodeId> physical_;
-  std::uint64_t next_entry_id_ = 1;
   std::size_t inflight_ = 0;
 
   // Per-object issue-ordered queue of incomplete moves; the front holds

@@ -137,20 +137,22 @@ namespace {
 // size upper-bounds the optimal one, so it never over-reports dimension
 // by more than the greedy factor.
 std::size_t half_ball_cover_size(const Graph& graph, NodeId center,
-                                 Weight radius) {
-  const ShortestPathTree ball = dijkstra_bounded(graph, center, radius);
+                                 Weight radius, BallSearch& balls) {
   std::vector<NodeId> members;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (ball.distance[v] != kInfiniteDistance) members.push_back(v);
+  for (const BallMember& m : balls.around(graph, center, radius)) {
+    members.push_back(m.node);
   }
-  std::vector<bool> covered(graph.num_nodes(), false);
+  std::sort(members.begin(), members.end());
+  std::vector<bool> covered(members.size(), false);
   std::size_t cover_size = 0;
-  for (const NodeId v : members) {
-    if (covered[v]) continue;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (covered[i]) continue;
     ++cover_size;
-    const ShortestPathTree half = dijkstra_bounded(graph, v, radius / 2.0);
-    for (const NodeId w : members) {
-      if (half.distance[w] != kInfiniteDistance) covered[w] = true;
+    for (const BallMember& m : balls.around(graph, members[i], radius / 2.0)) {
+      const auto it = std::lower_bound(members.begin(), members.end(), m.node);
+      if (it != members.end() && *it == m.node) {
+        covered[static_cast<std::size_t>(it - members.begin())] = true;
+      }
     }
   }
   return cover_size;
@@ -177,11 +179,12 @@ double estimate_doubling_dimension(const Graph& graph, Rng& rng,
   }
 
   std::size_t worst_cover = 1;
+  BallSearch balls;
   for (const NodeId center : centers) {
     for (Weight radius = 1.0; radius <= std::max(1.0, diameter);
          radius *= 2.0) {
-      worst_cover =
-          std::max(worst_cover, half_ball_cover_size(graph, center, radius));
+      worst_cover = std::max(
+          worst_cover, half_ball_cover_size(graph, center, radius, balls));
     }
   }
   return std::log2(static_cast<double>(worst_cover));

@@ -32,8 +32,9 @@ struct QueueEntry {
   }
 };
 
-ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
-                              Weight radius) {
+}  // namespace
+
+ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
   MOT_EXPECTS(source < graph.num_nodes());
   ShortestPathTree tree;
   tree.source = source;
@@ -51,7 +52,6 @@ ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
     if (dist > tree.distance[node]) continue;  // stale entry
     for (const Edge& e : graph.neighbors(node)) {
       const Weight candidate = dist + e.weight;
-      if (candidate > radius) continue;
       if (candidate < tree.distance[e.to]) {
         tree.distance[e.to] = candidate;
         tree.parent[e.to] = node;
@@ -62,16 +62,43 @@ ShortestPathTree run_dijkstra(const Graph& graph, NodeId source,
   return tree;
 }
 
-}  // namespace
-
-ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
-  return run_dijkstra(graph, source, kInfiniteDistance);
-}
-
-ShortestPathTree dijkstra_bounded(const Graph& graph, NodeId source,
-                                  Weight radius) {
+std::span<const BallMember> BallSearch::around(const Graph& graph,
+                                               NodeId source, Weight radius) {
+  MOT_EXPECTS(source < graph.num_nodes());
   MOT_EXPECTS(radius >= 0.0);
-  return run_dijkstra(graph, source, radius);
+  if (distance_.size() != graph.num_nodes()) {
+    distance_.assign(graph.num_nodes(), kInfiniteDistance);
+  } else {
+    for (const BallMember& member : ball_) {
+      distance_[member.node] = kInfiniteDistance;
+    }
+  }
+  ball_.clear();
+  // dijkstra()'s relaxation, cut at the radius. Every node given a
+  // distance is pushed with it and later settled, so the settled list is
+  // also the list of scratch slots the next call resets.
+  const auto later = [](const BallMember& a, const BallMember& b) {
+    return a.distance > b.distance;
+  };
+  distance_[source] = 0.0;
+  heap_.assign(1, {source, 0.0});
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const BallMember top = heap_.back();
+    heap_.pop_back();
+    if (top.distance > distance_[top.node]) continue;  // stale entry
+    ball_.push_back(top);
+    for (const Edge& e : graph.neighbors(top.node)) {
+      const Weight candidate = top.distance + e.weight;
+      if (candidate > radius) continue;
+      if (candidate < distance_[e.to]) {
+        distance_[e.to] = candidate;
+        heap_.push_back({e.to, candidate});
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
+    }
+  }
+  return ball_;
 }
 
 ShortestPathTree bfs_unit(const Graph& graph, NodeId source) {

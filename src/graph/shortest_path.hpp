@@ -3,6 +3,7 @@
 // reduces to distances computed here.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,11 +23,27 @@ struct ShortestPathTree {
 // Full Dijkstra from `source`.
 ShortestPathTree dijkstra(const Graph& graph, NodeId source);
 
-// Dijkstra truncated at `radius`: nodes farther than radius keep
-// kInfiniteDistance. Used for cluster construction, where only a bounded
-// neighborhood matters. Cost is proportional to the ball size, not n.
-ShortestPathTree dijkstra_bounded(const Graph& graph, NodeId source,
-                                  Weight radius);
+struct BallMember {
+  NodeId node = kInvalidNode;
+  Weight distance = 0.0;
+};
+
+// Dijkstra truncated at a radius, for cluster construction, where only a
+// bounded neighborhood matters. The scratch is sized once per graph and
+// reset through the previous ball, so a call costs the ball and the
+// edges leaving it, not n.
+class BallSearch {
+ public:
+  // The nodes within `radius` of `source` (distance <= radius), each once
+  // with its distance, in settle order. Valid until the next call.
+  std::span<const BallMember> around(const Graph& graph, NodeId source,
+                                     Weight radius);
+
+ private:
+  std::vector<Weight> distance_;  // kInfiniteDistance outside the ball
+  std::vector<BallMember> ball_;
+  std::vector<BallMember> heap_;  // min-heap on distance
+};
 
 // BFS distances for graphs whose edges all weigh exactly 1 (grids, rings).
 // Falls back on a contract failure if the graph is weighted.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/shortest_path.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -47,23 +46,27 @@ std::unique_ptr<DoublingHierarchy> DoublingHierarchy::build(
   hierarchy->levels_.push_back(std::move(bottom));
 
   // Refine: V_{l+1} = MIS of (V_l, {(u,v) : dist_G(u,v) < 2^{l+1}}).
+  // Each member's ball yields its neighbors, listed by ascending slot.
+  BallSearch balls;
   for (int level = 0; hierarchy->levels_[level].member_list.size() > 1;
        ++level) {
     MOT_CHECK(level < kMaxLevels);
-    const auto& current = hierarchy->levels_[level].member_list;
+    const Level& current = hierarchy->levels_[level];
     const Weight radius = std::ldexp(1.0, level + 1);  // 2^{l+1}
 
     MisInstance instance;
-    instance.vertices = current;
-    instance.neighbors.resize(current.size());
-    for (std::uint32_t i = 0; i < current.size(); ++i) {
-      const ShortestPathTree ball =
-          dijkstra_bounded(graph, current[i], radius);
-      for (std::uint32_t j = 0; j < current.size(); ++j) {
-        if (j != i && ball.distance[current[j]] < radius) {
-          instance.neighbors[i].push_back(j);
+    instance.vertices = current.member_list;
+    instance.neighbors.resize(current.member_list.size());
+    for (std::uint32_t i = 0; i < current.member_list.size(); ++i) {
+      auto& neighbors = instance.neighbors[i];
+      const NodeId center = current.member_list[i];
+      for (const BallMember& m : balls.around(graph, center, radius)) {
+        if (m.node != center && m.distance < radius &&
+            current.membership[m.node]) {
+          neighbors.push_back(current.slot[m.node]);
         }
       }
+      std::sort(neighbors.begin(), neighbors.end());
     }
 
     MisResult mis = luby_mis(instance, rng);
@@ -91,14 +94,13 @@ std::unique_ptr<DoublingHierarchy> DoublingHierarchy::build(
     std::vector<std::pair<Weight, NodeId>> best(
         lower_count, {kInfiniteDistance, kInvalidNode});
     for (const NodeId parent : upper.member_list) {
-      const ShortestPathTree ball = dijkstra_bounded(graph, parent, radius);
-      for (std::uint32_t s = 0; s < lower_count; ++s) {
-        const Weight d = ball.distance[lower.member_list[s]];
-        if (d > radius) continue;  // unreachable entries are +inf
+      for (const BallMember& m : balls.around(graph, parent, radius)) {
+        if (!lower.membership[m.node]) continue;
+        const std::uint32_t s = lower.slot[m.node];
         sets[s].push_back(parent);
-        if (d < best[s].first ||
-            (d == best[s].first && parent < best[s].second)) {
-          best[s] = {d, parent};
+        if (m.distance < best[s].first ||
+            (m.distance == best[s].first && parent < best[s].second)) {
+          best[s] = {m.distance, parent};
         }
       }
     }
@@ -311,11 +313,11 @@ std::span<const NodeId> DoublingHierarchy::cluster(int level,
   cached = slot.load(std::memory_order_relaxed);  // lost the race?
   if (cached == nullptr) {
     const Weight radius = std::ldexp(1.0, level);  // 2^level
-    const ShortestPathTree ball = dijkstra_bounded(*graph_, center, radius);
     std::vector<NodeId> members;
-    for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-      if (ball.distance[v] <= radius) members.push_back(v);
+    for (const BallMember& m : cluster_balls_.around(*graph_, center, radius)) {
+      members.push_back(m.node);
     }
+    std::sort(members.begin(), members.end());
     cluster_owned_.push_back(
         std::make_unique<const std::vector<NodeId>>(std::move(members)));
     cached = cluster_owned_.back().get();

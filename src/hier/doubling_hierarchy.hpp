@@ -22,6 +22,7 @@
 #include <mutex>
 #include <vector>
 
+#include "graph/shortest_path.hpp"
 #include "hier/hierarchy.hpp"
 #include "hier/mis.hpp"
 #include "util/rng.hpp"
@@ -130,6 +131,7 @@ class DoublingHierarchy final : public Hierarchy {
       cluster_slots_;  // size (height + 1) * num_nodes
   mutable std::vector<std::unique_ptr<const std::vector<NodeId>>>
       cluster_owned_;  // guarded by cluster_mutex_
+  mutable BallSearch cluster_balls_;  // guarded by cluster_mutex_
   mutable std::mutex cluster_mutex_;
 };
 

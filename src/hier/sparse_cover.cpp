@@ -120,26 +120,19 @@ SparseCover build_sparse_cover(const Graph& graph, Weight radius,
 }
 
 bool covers_all_balls(const Graph& graph, const SparseCover& cover) {
-  const std::size_t n = graph.num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    const ShortestPathTree ball =
-        dijkstra_bounded(graph, v, cover.cover_radius);
-    bool found = false;
-    for (const std::uint32_t label : cover.clusters_of[v]) {
+  BallSearch balls;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const auto ball = balls.around(graph, v, cover.cover_radius);
+    const auto contains_ball = [&](std::uint32_t label) {
       const auto& members = cover.clusters[label].members;
-      bool contains_ball = true;
-      for (NodeId w = 0; w < n && contains_ball; ++w) {
-        if (ball.distance[w] <= cover.cover_radius &&
-            !std::binary_search(members.begin(), members.end(), w)) {
-          contains_ball = false;
-        }
-      }
-      if (contains_ball) {
-        found = true;
-        break;
-      }
+      return std::all_of(ball.begin(), ball.end(), [&](const BallMember& m) {
+        return std::binary_search(members.begin(), members.end(), m.node);
+      });
+    };
+    if (std::none_of(cover.clusters_of[v].begin(), cover.clusters_of[v].end(),
+                     contains_ball)) {
+      return false;
     }
-    if (!found) return false;
   }
   return true;
 }

@@ -14,15 +14,14 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "durable/journal.hpp"
 #include "durable/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "tracking/detection_store.hpp"
 #include "tracking/path_provider.hpp"
 #include "tracking/tracker.hpp"
-#include "util/flat_map.hpp"
 
 namespace mot {
 
@@ -61,11 +60,14 @@ class ChainTracker final : public Tracker {
   MoveResult move(ObjectId object, NodeId new_proxy) override;
   QueryResult query(NodeId from, ObjectId object) override;
   NodeId proxy_of(ObjectId object) const override;
-  std::vector<std::size_t> load_per_node() const override;
+  std::vector<std::size_t> load_per_node() const override {
+    return store_.load_per_node(*provider_);
+  }
   const CostMeter& meter() const override { return meter_; }
 
   bool is_published(ObjectId object) const {
-    return proxies_.count(object) != 0;
+    const tracking::ObjectChain* chain = store_.find(object);
+    return chain != nullptr && chain->proxy != kInvalidNode;
   }
 
   // Gracefully retires a sensor (Section 7: nodes announce departures).
@@ -74,9 +76,10 @@ class ChainTracker final : public Tracker {
   // its special-list records are dropped (the pointers would dangle).
   // Preconditions: no object is proxied at the node, and the node does
   // not host the root stop (re-rooting is a hierarchy rebuild, which the
-  // paper defers past a threshold). Returns the number of entries
+  // paper defers past a threshold). The node's roles are repaired from
+  // the highest level down, objects by id. Returns the number of entries
   // evacuated; repair messages are charged to the meter.
-  std::size_t evacuate_node(NodeId node);
+  std::size_t evacuate_node(NodeId node) { return repair_node(node, true); }
 
   // Crash-stop variant of evacuate_node: the sensor dies without sending
   // anything, so survivors do all the repair. Chain parents splice around
@@ -84,7 +87,7 @@ class ChainTracker final : public Tracker {
   // are cleared locally by their owners once the failure is announced, at
   // no message cost from the dead node. Same preconditions as
   // evacuate_node. Returns the number of chain entries repaired.
-  std::size_t crash_node(NodeId node);
+  std::size_t crash_node(NodeId node) { return repair_node(node, false); }
 
   // Structural self-check of the per-object chain invariant and the
   // DL <-> SDL cross-references. Aborts (contract failure) on violation.
@@ -92,9 +95,15 @@ class ChainTracker final : public Tracker {
   void validate_all() const;
 
   // Introspection for tests.
-  std::size_t dl_entries(ObjectId object) const;
-  std::size_t sdl_entries(ObjectId object) const;
-  bool node_has_dl(OverlayNode owner, ObjectId object) const;
+  std::size_t dl_entries(ObjectId object) const {
+    return store_.find(object) ? store_.find(object)->dl_entries() : 0;
+  }
+  std::size_t sdl_entries(ObjectId object) const {
+    return store_.find(object) ? store_.find(object)->sdl_entries() : 0;
+  }
+  bool node_has_dl(OverlayNode owner, ObjectId object) const {
+    return store_.find(object) && store_.find(object)->find(owner);
+  }
 
   // Opt-in durability: every effective DL/SDL/chain mutation is handed
   // to `sink` as a semantic journal record. Off by default; a null sink
@@ -110,7 +119,9 @@ class ChainTracker final : public Tracker {
 
   // Replaces all tracking state with `image` (restore path). Meter and
   // query stats are not part of durable state and are left untouched.
-  void restore_durable_image(const durable::StateImage& image);
+  void restore_durable_image(const durable::StateImage& image) {
+    store_.restore(image);
+  }
 
   // How queries discovered their objects (ablation A2 reporting).
   struct QueryStats {
@@ -120,19 +131,6 @@ class ChainTracker final : public Tracker {
   const QueryStats& query_stats() const { return query_stats_; }
 
  private:
-  struct DlEntry {
-    OverlayNode child;                 // next chain node toward the proxy
-    std::optional<OverlayNode> sp;     // special parent holding our SDL record
-  };
-  struct NodeState {
-    // Flat open-addressed storage: the dl is probed on every climb hop,
-    // so entries live densely (see util/flat_map.hpp).
-    FlatMap<ObjectId, DlEntry> dl;
-    // SDL: object -> special children (DL holders) that registered here.
-    std::unordered_map<ObjectId, std::vector<OverlayNode>> sdl;
-  };
-
-  Weight distance(NodeId a, NodeId b) const;
   // Charges one message hop and, when a trace sink is installed, emits
   // an event of kind `kind` attributed to `object` (level optional).
   void charge_hop(NodeId from, NodeId to, ObjectId object, obs::Ev kind,
@@ -140,18 +138,23 @@ class ChainTracker final : public Tracker {
   // Charges the delegate route for touching `owner`'s entry store.
   void charge_access(OverlayNode owner, ObjectId object);
 
-  void add_entry(OverlayNode owner, ObjectId object, OverlayNode child,
+  void add_entry(tracking::ObjectChain& chain, OverlayNode owner,
+                 ObjectId object, OverlayNode child,
                  std::optional<OverlayNode> sp);
-  void remove_sdl_record(OverlayNode sp, ObjectId object, OverlayNode child);
 
   // Removes the chain fragment hanging below `meet` whose top is
   // `first_victim`, charging message hops from meet downwards.
-  void delete_fragment(OverlayNode meet, OverlayNode first_victim,
-                       ObjectId object);
+  void delete_fragment(tracking::ObjectChain& chain, OverlayNode meet,
+                       OverlayNode first_victim, ObjectId object);
 
   // Follows chain pointers from `start` (which must hold a DL entry for
   // `object`) down to the proxy. Charges per-hop unless shortcutting.
-  NodeId descend(OverlayNode start, ObjectId object);
+  NodeId descend(const tracking::ObjectChain& chain, OverlayNode start,
+                 ObjectId object);
+
+  // evacuate_node / crash_node; `graceful` charges the departing node's
+  // own messages.
+  std::size_t repair_node(NodeId node, bool graceful);
 
   // Forwards one semantic op to the durability sink, if attached.
   void journal(const durable::JournalRecord& record) {
@@ -164,8 +167,7 @@ class ChainTracker final : public Tracker {
   CostMeter meter_;
   durable::Sink* durable_ = nullptr;
 
-  std::unordered_map<OverlayNode, NodeState, OverlayNodeHash> state_;
-  std::unordered_map<ObjectId, NodeId> proxies_;
+  tracking::DetectionStore store_;
   QueryStats query_stats_;
 };
 

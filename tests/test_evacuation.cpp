@@ -1,6 +1,9 @@
 // Section 7 fault tolerance: graceful node departure with chain repair.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "core/mot.hpp"
 #include "graph/generators.hpp"
 #include "hier/doubling_hierarchy.hpp"
@@ -195,6 +198,67 @@ TEST(Crash, SurvivorsKeepMovingAfterCrash) {
   for (ObjectId o = 0; o < 8; ++o) {
     EXPECT_EQ(tracker.query(40, o).proxy, tracker.proxy_of(o));
   }
+}
+
+TEST(Crash, SurvivingParentSendsEverySplice) {
+  // A victim often holds a run of roles on one chain (a level-l member is
+  // its own default parent at level l+1). The repair visits its roles
+  // from the top level down, so the surviving parent above the run sends
+  // every splice: one to each lower dead role, then one to the surviving
+  // child below the run.
+  const Fixture fx;
+  MotOptions options = fx.options();
+  options.use_special_parents = false;  // splices are the only charges
+  MotTracker tracker(*fx.hierarchy, options);
+  std::set<NodeId> proxies;
+  for (ObjectId o = 0; o < 16; ++o) {
+    tracker.publish(o, static_cast<NodeId>(o * 4 + 3));
+    proxies.insert(o * 4 + 3);
+  }
+
+  // Each object's chain, root first.
+  std::map<ObjectId, std::map<std::pair<int, NodeId>, OverlayNode>> child;
+  for (const auto& role : tracker.chain().export_durable_image().roles) {
+    for (const auto& entry : role.dl) {
+      child[entry.object][{role.role.level, role.role.node}] = entry.child;
+    }
+  }
+  const OverlayNode root{fx.hierarchy->height(), fx.hierarchy->root()};
+  std::map<ObjectId, std::vector<OverlayNode>> chains;
+  for (auto& [object, links] : child) {
+    for (OverlayNode at = root;; at = links.at({at.level, at.node})) {
+      chains[object].push_back(at);
+      if (links.at({at.level, at.node}) == at) break;
+    }
+  }
+  NodeId victim = kInvalidNode;
+  for (const auto& [object, chain] : chains) {
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      const NodeId node = chain[i].node;
+      if (node == chain[i - 1].node && node != root.node &&
+          proxies.count(node) == 0) {
+        victim = std::min(victim, node);
+      }
+    }
+  }
+  ASSERT_NE(victim, kInvalidNode);
+
+  Weight expected = 0.0;
+  for (const auto& [object, chain] : chains) {
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      if (chain[i].node != victim || chain[i - 1].node == victim) continue;
+      std::size_t end = i;  // one past the run of the victim's roles
+      while (chain[end].node == victim) ++end;
+      const NodeId parent = chain[i - 1].node;
+      expected += static_cast<Weight>(end - i - 1) *
+                      fx.oracle->distance(parent, victim) +
+                  fx.oracle->distance(parent, chain[end].node);
+    }
+  }
+  const Weight before = tracker.meter().total_distance();
+  tracker.chain().crash_node(victim);
+  EXPECT_DOUBLE_EQ(tracker.meter().total_distance() - before, expected);
+  tracker.chain().validate_all();
 }
 
 using EvacuationDeathTest = ::testing::Test;

@@ -44,9 +44,16 @@ TEST(Dijkstra, UnreachableIsInfinite) {
 
 TEST(DijkstraBounded, RespectsRadius) {
   const Graph g = make_path(10);
-  const ShortestPathTree tree = dijkstra_bounded(g, 0, 3.0);
-  EXPECT_DOUBLE_EQ(tree.distance[3], 3.0);
-  EXPECT_EQ(tree.distance[4], kInfiniteDistance);
+  BallSearch search;
+  const auto ball = search.around(g, 0, 3.0);
+  const auto distance = [&](NodeId v) {
+    for (const BallMember& m : ball) {
+      if (m.node == v) return m.distance;
+    }
+    return kInfiniteDistance;
+  };
+  EXPECT_DOUBLE_EQ(distance(3), 3.0);
+  EXPECT_EQ(distance(4), kInfiniteDistance);
 }
 
 TEST(BfsUnit, MatchesDijkstraOnGrids) {
