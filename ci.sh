@@ -154,6 +154,16 @@ if ! ./build-asan/bench/chaos_runner --seeds 0..19 --topology all \
   cat "${CHAOS_LOG}"
   exit 1
 fi
+# The same seeds with a finite-capacity service model and no adaptive
+# controller: the plain credit-window, breaker, shedding and crash
+# poisoning paths of the reliable link, which the adaptive stage below
+# only reaches with the controller attached.
+if ! ./build-asan/bench/chaos_runner --overload --seeds 0..19 \
+    --topology all > "${CHAOS_LOG}" 2>&1; then
+  echo "overload chaos run found a violation; shrunk repro + replay command:"
+  cat "${CHAOS_LOG}"
+  exit 1
+fi
 # Self-check: the explorer must still catch a deliberately broken
 # recovery path and shrink it to a small deterministic schedule.
 if ! ./build-asan/bench/chaos_runner --seeds 0..9 --topology grid \
@@ -162,7 +172,7 @@ if ! ./build-asan/bench/chaos_runner --seeds 0..9 --topology grid \
   cat "${CHAOS_LOG}"
   exit 1
 fi
-echo "chaos ok: 60 green schedules + churn; injected defect caught + shrunk"
+echo "chaos ok: 60 green schedules + churn, 60 overloaded; injected defect caught + shrunk"
 
 echo "== durability: crash-restart-replay audit under asan =="
 DURABLE_LOG="${SMOKE_DIR}/durable.log"

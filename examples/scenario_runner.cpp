@@ -1,10 +1,10 @@
 // Scenario runner: a small CLI over the whole library. Generates (or
 // loads) a movement trace, runs any tracking algorithm on any built-in
 // topology, and reports cost ratios and load — with optional trace and
-// Graphviz exports for inspection.
+// Graphviz exports for inspection. The first example is one command:
 //
-//   $ ./scenario_runner --topology grid --nodes 256 --algo mot \
-//        --objects 50 --moves 100 --queries 100 --seed 9 \
+//   $ ./scenario_runner --topology grid --nodes 256 --algo mot
+//        --objects 50 --moves 100 --queries 100 --seed 9
 //        --save-trace /tmp/run.trace --dot /tmp/overlay.dot
 //   $ ./scenario_runner --load-trace /tmp/run.trace --algo stun
 #include <cmath>

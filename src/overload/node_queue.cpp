@@ -16,12 +16,20 @@ const char* admit_name(Admit outcome) {
   return "unknown";
 }
 
+void BoundedNodeQueue::refresh_limits() {
+  for (std::size_t idx = 0; idx < kNumClasses; ++idx) {
+    admit_limit_[idx] = config_->admit_limit(static_cast<Priority>(idx));
+  }
+  red_onset_ = config_->red_threshold();
+  high_watermark_ = config_->high_watermark();
+}
+
 Admit BoundedNodeQueue::offer(double now, Priority cls,
                               std::function<void()> run, Rng& red) {
   const auto idx = static_cast<std::size_t>(cls);
   // Class admission limit: depth (including the in-service slot) must be
   // strictly below the class threshold for the message to enter.
-  if (depth_ >= config_->admit_limit(cls)) return Admit::kShedCapacity;
+  if (depth_ >= admit_limit_[idx]) return Admit::kShedCapacity;
   // Deadline-aware admission: projected wait is everything already queued
   // divided by the service rate; a message that would blow its class
   // budget is shed now rather than aged to death in the queue.
@@ -35,8 +43,8 @@ Admit BoundedNodeQueue::offer(double now, Priority cls,
   // only when the ramp region is actually entered, keeping the stream a
   // deterministic function of the admission sequence.
   if (cls == Priority::kQuery) {
-    const std::size_t lo = config_->red_threshold();
-    const std::size_t hi = config_->admit_limit(Priority::kQuery);
+    const std::size_t lo = red_onset_;
+    const std::size_t hi = admit_limit(Priority::kQuery);
     if (depth_ >= lo && hi > lo) {
       const double ramp = static_cast<double>(depth_ - lo) /
                           static_cast<double>(hi - lo);

@@ -37,7 +37,13 @@ struct QueueItem {
 // One node's inbox. Not thread-safe; the simulator is single-threaded.
 class BoundedNodeQueue {
  public:
-  explicit BoundedNodeQueue(const OverloadConfig* config) : config_(config) {}
+  explicit BoundedNodeQueue(const OverloadConfig* config) : config_(config) {
+    refresh_limits();
+  }
+
+  // Re-derives the cached thresholds from the config. Admission reads
+  // only the cached values, so call this whenever *config changes.
+  void refresh_limits();
 
   // Admission decision for a class-`cls` message arriving at `now`. On
   // kAdmit the item is queued; any other outcome leaves the queue
@@ -51,6 +57,12 @@ class BoundedNodeQueue {
   // depth() > 0.
   QueueItem take();
 
+  // The config's derived thresholds as of the last refresh_limits().
+  std::size_t admit_limit(Priority cls) const {
+    return admit_limit_[static_cast<std::size_t>(cls)];
+  }
+  std::size_t high_watermark() const { return high_watermark_; }
+
   std::size_t depth() const { return depth_; }
   std::size_t depth_of(Priority cls) const {
     return lanes_[static_cast<std::size_t>(cls)].size();
@@ -60,6 +72,9 @@ class BoundedNodeQueue {
 
  private:
   const OverloadConfig* config_;
+  std::size_t admit_limit_[kNumClasses] = {};
+  std::size_t red_onset_ = 0;
+  std::size_t high_watermark_ = 0;
   std::deque<QueueItem> lanes_[kNumClasses];
   std::size_t depth_ = 0;
   std::size_t max_depth_ = 0;

@@ -15,17 +15,30 @@ const char* priority_name(Priority cls) {
   return "unknown";
 }
 
+namespace {
+
+// floor(fraction * capacity) clamped to [1, max(capacity, 1)]. The guards
+// run before the cast: a negative or NaN product (or one past the range
+// of size_t) cast to unsigned would be undefined behavior, so it lands
+// on the clamp instead.
+std::size_t capacity_share(double fraction, std::size_t capacity) {
+  const double raw = fraction * static_cast<double>(capacity);
+  if (!(raw >= 1.0)) return 1;
+  if (raw >= static_cast<double>(capacity)) {
+    return std::max<std::size_t>(1, capacity);
+  }
+  return static_cast<std::size_t>(std::floor(raw));
+}
+
+}  // namespace
+
 std::size_t OverloadConfig::admit_limit(Priority cls) const {
-  const double fraction = admit_fraction[static_cast<std::size_t>(cls)];
-  const double raw = fraction * static_cast<double>(queue_capacity);
-  const auto limit = static_cast<std::size_t>(std::floor(raw));
-  return std::max<std::size_t>(1, std::min(limit, queue_capacity));
+  return capacity_share(admit_fraction[static_cast<std::size_t>(cls)],
+                        queue_capacity);
 }
 
 std::size_t OverloadConfig::high_watermark() const {
-  const double raw = degrade_fraction * static_cast<double>(queue_capacity);
-  const auto mark = static_cast<std::size_t>(std::floor(raw));
-  return std::max<std::size_t>(1, std::min(mark, queue_capacity));
+  return capacity_share(degrade_fraction, queue_capacity);
 }
 
 std::size_t OverloadConfig::red_threshold() const {

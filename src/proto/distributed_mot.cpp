@@ -116,6 +116,7 @@ void DistributedMot::use_overload(ServiceModel* service) {
   MOT_EXPECTS(channel_ != nullptr);
   MOT_EXPECTS(inflight_ == 0);  // attach before injecting traffic
   service_ = service;
+  credit_.resize(sensors_.size());
 }
 
 void DistributedMot::use_batching(bool on) {
@@ -166,16 +167,27 @@ DistributedMot::LinkCredit& DistributedMot::credit_for(NodeId to) {
   return credit;
 }
 
+namespace {
+
+std::uint64_t link_key(NodeId from, NodeId to) {
+  return (static_cast<std::uint64_t>(from) << 32) | to;
+}
+
+}  // namespace
+
+overload::CircuitBreaker* DistributedMot::find_breaker(NodeId from,
+                                                       NodeId to) {
+  const auto it = breakers_.find(link_key(from, to));
+  return it == breakers_.end() ? nullptr : &it->second;
+}
+
 overload::CircuitBreaker& DistributedMot::breaker_for(NodeId from,
                                                       NodeId to) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) << 32) | to;
-  const auto it = breakers_.find(key);
-  if (it != breakers_.end()) return it->second;
   const overload::OverloadConfig& config = service_->config();
   return breakers_
-      .emplace(key, overload::CircuitBreaker(config.breaker_threshold,
-                                             config.breaker_cooldown))
+      .emplace(link_key(from, to),
+               overload::CircuitBreaker(config.breaker_threshold,
+                                        config.breaker_cooldown))
       .first->second;
 }
 
@@ -737,7 +749,9 @@ void DistributedMot::transmit_data(std::uint64_t seq) {
     // timer (flagged so the timeout is not mistaken for link evidence)
     // and re-consults the gate each round; after the cooldown the gate
     // elects exactly one frame as the half-open probe.
-    switch (breaker_for(from, to).gate(sim_->now(), seq)) {
+    overload::CircuitBreaker* breaker = find_breaker(from, to);
+    switch (breaker == nullptr ? overload::CircuitBreaker::Gate::kPass
+                               : breaker->gate(sim_->now(), seq)) {
       case overload::CircuitBreaker::Gate::kBlocked:
         transfer.breaker_parked = true;
         ++stats_.breaker_suppressed;
@@ -779,18 +793,18 @@ void DistributedMot::transmit_data(std::uint64_t seq) {
     }
   }
   const int attempt = transfer.attempts;
+  const double rto = transfer.rto;
   channel_->transmit(*sim_, from, to, dist,
                      [this, seq, message, from, to, dist, attempt] {
                        deliver_data(seq, message, from, to, dist, attempt);
                      });
-  sim_->schedule(transfer.rto,
-                 [this, seq] { on_transfer_timeout(seq); });
+  sim_->schedule(rto, [this, seq] { on_transfer_timeout(seq); });
 }
 
 void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
                                   NodeId from, NodeId to, Weight dist,
                                   int attempt) {
-  if (poisoned_.count(seq) != 0) return;  // cancelled by crash recovery
+  if (poisoned_.contains(seq)) return;  // cancelled by crash recovery
   if (service_ != nullptr) {
     // Finite-capacity receiver: admission control runs BEFORE the ack.
     // A shed frame was never acknowledged, so the sender's retransmission
@@ -798,7 +812,7 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
     // an admitted frame is never evicted (its ack already told the sender
     // to forget it). Duplicates of an admitted frame re-ack without
     // consuming queue space.
-    const bool duplicate = delivered_.count(seq) != 0;
+    const bool duplicate = delivered_.contains(seq);
     if (!duplicate) {
       const overload::Priority cls = classify(message.type, attempt);
       // Queued handlers outlive crashes and rebuilds, and unlike frames
@@ -881,7 +895,7 @@ void DistributedMot::deliver_data(std::uint64_t seq, const Message& message,
   }
   channel_->transmit(*sim_, to, from, dist,
                      [this, seq] { on_ack(seq); });
-  if (!delivered_.insert(seq).second) {
+  if (!delivered_.insert(seq)) {
     // Duplicate suppression: handlers are effectively-once.
     ++stats_.duplicates_suppressed;
     if (obs::tracing()) {
@@ -941,7 +955,8 @@ void DistributedMot::on_ack_credit(std::uint64_t seq, std::size_t grant) {
   }
   // Any ack is proof of life for the link: reset the breaker's failure
   // streak, and close it if this was the half-open probe reporting back.
-  if (breaker_for(from, to).on_success()) {
+  if (overload::CircuitBreaker* breaker = find_breaker(from, to);
+      breaker != nullptr && breaker->on_success()) {
     ++stats_.breaker_closes;
     if (obs::tracing()) {
       obs::emit({.type = obs::Ev::kBreakerClose,
@@ -955,9 +970,7 @@ void DistributedMot::on_ack_credit(std::uint64_t seq, std::size_t grant) {
 }
 
 void DistributedMot::pump_stalled(NodeId to) {
-  const auto it = credit_.find(to);
-  if (it == credit_.end()) return;
-  LinkCredit& credit = it->second;
+  LinkCredit& credit = credit_[to];
   while (credit.outstanding < credit.window && !credit.stalled.empty()) {
     const std::uint64_t seq = credit.stalled.front();
     credit.stalled.pop_front();
@@ -2602,8 +2615,7 @@ std::vector<std::string> DistributedMot::invariant_violations() const {
                     " messages still queued");
     }
     std::size_t stalled = 0;
-    for (const auto& [to, credit] : credit_) {
-      (void)to;
+    for (const LinkCredit& credit : credit_) {
       stalled += credit.outstanding;
       for (const std::uint64_t seq : credit.stalled) {
         if (pending_.count(seq) != 0) ++stalled;

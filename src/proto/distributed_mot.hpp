@@ -474,6 +474,28 @@ class DistributedMot {
     std::deque<std::uint64_t> stalled;
   };
 
+  // A set of link sequence numbers, one bit each. Seqs are dense from 1
+  // and nothing is ever forgotten, so a frame costs one bit here.
+  class SeqBits {
+   public:
+    bool contains(std::uint64_t seq) const {
+      const std::uint64_t word = seq >> 6;
+      return word < words_.size() && ((words_[word] >> (seq & 63)) & 1) != 0;
+    }
+    // Returns false when `seq` was already present.
+    bool insert(std::uint64_t seq) {
+      const std::uint64_t word = seq >> 6;
+      if (word >= words_.size()) words_.resize(word + 1);
+      const std::uint64_t bit = std::uint64_t{1} << (seq & 63);
+      if ((words_[word] & bit) != 0) return false;
+      words_[word] |= bit;
+      return true;
+    }
+
+   private:
+    std::vector<std::uint64_t> words_;
+  };
+
   // Locality-guarded access to a sensor's state: only legal for the node
   // currently handling a message.
   SensorState& local(NodeId node);
@@ -566,6 +588,10 @@ class DistributedMot {
   // max_window, or the AIMD controller's current per-link cap.
   std::size_t window_cap(NodeId to) const;
   LinkCredit& credit_for(NodeId to);
+  // The breaker of link from -> to, or nullptr until the link's first
+  // genuine timeout creates it. A breaker that never saw a timeout is
+  // closed: it passes every gate and no ack can close it.
+  overload::CircuitBreaker* find_breaker(NodeId from, NodeId to);
   overload::CircuitBreaker& breaker_for(NodeId from, NodeId to);
   void on_ack_credit(std::uint64_t seq, std::size_t grant);
   void pump_stalled(NodeId to);
@@ -613,8 +639,9 @@ class DistributedMot {
   Channel* channel_ = nullptr;
   ClusterLink* cluster_ = nullptr;
   ServiceModel* service_ = nullptr;
-  std::unordered_map<NodeId, LinkCredit> credit_;
-  std::unordered_map<std::uint64_t, overload::CircuitBreaker> breakers_;
+  std::vector<LinkCredit> credit_;  // by destination; sized by use_overload
+  // Breakers of the links that have timed out, keyed (from << 32) | to.
+  FlatMap<std::uint64_t, overload::CircuitBreaker> breakers_;
   QueryPolicy policy_;
   durable::Sink* durable_ = nullptr;
   // Replication can mirror every owner (kAll, the PR 5 behavior) or only
@@ -641,9 +668,12 @@ class DistributedMot {
   std::vector<StagedUpdate> staged_;
   Arena batch_arena_;
   std::uint64_t next_seq_ = 1;
-  std::unordered_map<std::uint64_t, PendingTransfer> pending_;
-  std::unordered_set<std::uint64_t> delivered_;  // receiver-side dedup
-  std::unordered_set<std::uint64_t> poisoned_;   // cancelled by recovery
+  // Unacked frames by seq. Entries move on insert and erase, so no
+  // reference into it is held across either; every loop over it sorts
+  // the seqs it collects, so its iteration order is never observed.
+  FlatMap<std::uint64_t, PendingTransfer> pending_;
+  SeqBits delivered_;  // receiver-side dedup
+  SeqBits poisoned_;   // cancelled by recovery
   bool record_ = false;
   std::vector<Delivery> deliveries_;
 };

@@ -1,5 +1,8 @@
 #include "sim/event_sim.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace mot {
@@ -7,19 +10,30 @@ namespace mot {
 void Simulator::schedule(SimTime delay, std::function<void()> action) {
   MOT_EXPECTS(delay >= 0.0);
   MOT_EXPECTS(action != nullptr);
-  queue_.push({now_ + delay, next_id_++, std::move(action)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  heap_.push_back({now_ + delay, next_id_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Simulator::pop_and_run() {
-  if (queue_.empty()) return false;
-  // priority_queue::top is const; we need to move the action out, so
-  // const_cast on a value we immediately pop. The queue never reads the
-  // moved-from action again.
-  Event& top = const_cast<Event&>(queue_.top());
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Event top = heap_.back();
+  heap_.pop_back();
   MOT_CHECK(top.time >= now_);
   now_ = top.time;
-  auto action = std::move(top.action);
-  queue_.pop();
+  // Move the action out before running it: it may schedule, which can
+  // reuse this slot or grow the table under it.
+  std::function<void()> action = std::move(actions_[top.slot]);
+  free_slots_.push_back(top.slot);
   action();
   return true;
 }
@@ -32,7 +46,7 @@ std::size_t Simulator::run(std::size_t max_events) {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t processed = 0;
-  while (!queue_.empty() && queue_.top().time <= deadline && pop_and_run()) {
+  while (!heap_.empty() && heap_.front().time <= deadline && pop_and_run()) {
     ++processed;
   }
   return processed;

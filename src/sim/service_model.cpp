@@ -12,7 +12,7 @@ namespace mot {
 ServiceModel::ServiceModel(Simulator& sim, std::size_t num_nodes,
                            const overload::OverloadConfig& config)
     : sim_(sim), config_(config), node_configs_(num_nodes, config),
-      busy_(num_nodes, false), loads_(num_nodes), red_(config.seed) {
+      in_service_(num_nodes), loads_(num_nodes), red_(config.seed) {
   MOT_EXPECTS(config_.service_rate > 0.0);
   MOT_EXPECTS(config_.queue_capacity > 0);
   queues_.reserve(num_nodes);
@@ -24,6 +24,7 @@ ServiceModel::ServiceModel(Simulator& sim, std::size_t num_nodes,
 overload::Admit ServiceModel::offer(std::size_t node, overload::Priority cls,
                                     std::function<void()> run) {
   MOT_EXPECTS(node < queues_.size());
+  MOT_EXPECTS(run != nullptr);  // an empty slot means the node is idle
   ++stats_.arrivals;
   const overload::Admit outcome =
       queues_[node].offer(sim_.now(), cls, std::move(run), red_);
@@ -33,7 +34,7 @@ overload::Admit ServiceModel::offer(std::size_t node, overload::Priority cls,
       ++stats_.admitted;
       ++load.admitted_total;
       stats_.max_depth = std::max(stats_.max_depth, queues_[node].depth());
-      if (!busy_[node]) pump(node);
+      if (!in_service_[node]) pump(node);
       break;
     case overload::Admit::kShedCapacity:
       ++stats_.shed_capacity;
@@ -60,9 +61,8 @@ overload::Admit ServiceModel::offer(std::size_t node, overload::Priority cls,
 }
 
 void ServiceModel::pump(std::size_t node) {
-  MOT_CHECK(!busy_[node]);
+  MOT_CHECK(!in_service_[node]);
   if (queues_[node].empty()) return;
-  busy_[node] = true;
   // The next item is picked at service *start* so the measured delay is
   // exactly its wait in the queue; the handler runs inside the
   // service-completion event, one service interval later.
@@ -71,27 +71,31 @@ void ServiceModel::pump(std::size_t node) {
   queue_delays_.add(waited);
   loads_[node].delay_sum += waited;
   ++loads_[node].delay_count;
+  in_service_[node] = std::move(item.run);
   const double interval = 1.0 / config_.service_rate;
-  sim_.schedule(interval, [this, node, run = std::move(item.run)]() mutable {
-    ++stats_.serviced;
-    ++loads_[node].serviced_total;
-    busy_[node] = false;
-    run();
-    // The handler may have enqueued locally or crashed the node's work
-    // away; either way, keep draining whatever remains.
-    if (!busy_[node]) pump(node);
-  });
+  sim_.schedule(interval, [this, node] { complete(node); });
+}
+
+void ServiceModel::complete(std::size_t node) {
+  ++stats_.serviced;
+  ++loads_[node].serviced_total;
+  std::function<void()> run = std::move(in_service_[node]);
+  in_service_[node] = nullptr;
+  run();
+  // The handler may have enqueued locally or crashed the node's work
+  // away; either way, keep draining whatever remains.
+  if (!in_service_[node]) pump(node);
 }
 
 std::size_t ServiceModel::depth(std::size_t node) const {
   MOT_EXPECTS(node < queues_.size());
   // The in-service message still occupies capacity until it completes.
-  return queues_[node].depth() + (busy_[node] ? 1 : 0);
+  return queues_[node].depth() + (in_service_[node] ? 1 : 0);
 }
 
 std::size_t ServiceModel::headroom(std::size_t node) const {
   const std::size_t limit =
-      node_configs_[node].admit_limit(overload::Priority::kQuery);
+      queues_[node].admit_limit(overload::Priority::kQuery);
   const std::size_t d = depth(node);
   return d >= limit ? 0 : limit - d;
 }
@@ -121,6 +125,7 @@ void ServiceModel::set_red_fraction(std::size_t node, double fraction) {
   MOT_EXPECTS(node < node_configs_.size());
   MOT_EXPECTS(fraction > 0.0);
   node_configs_[node].red_fraction = fraction;
+  queues_[node].refresh_limits();
 }
 
 void ServiceModel::set_query_admit_fraction(std::size_t node,
@@ -134,6 +139,7 @@ void ServiceModel::set_query_admit_fraction(std::size_t node,
                   overload::Priority::kMaintenance)]);
   node_configs_[node].admit_fraction[static_cast<std::size_t>(
       overload::Priority::kQuery)] = fraction;
+  queues_[node].refresh_limits();
 }
 
 std::size_t ServiceModel::total_queued() const {

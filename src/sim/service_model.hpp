@@ -78,7 +78,7 @@ class ServiceModel {
   // Depth including the in-service slot, i.e. what admission sees.
   std::size_t depth(std::size_t node) const;
   bool overloaded(std::size_t node) const {
-    return depth(node) >= node_configs_[node].high_watermark();
+    return depth(node) >= queues_[node].high_watermark();
   }
   // Remaining admission headroom for the lowest class — what an ack
   // advertises to the sender as credit.
@@ -100,8 +100,9 @@ class ServiceModel {
   void reset_load_epoch();
 
   // Adaptive control-plane hooks: retune one node's RED onset or
-  // query-class admit fraction. Admission sees the new thresholds on the
-  // next offer; nothing already queued is touched, so calling this at a
+  // query-class admit fraction. The node's derived thresholds are
+  // recomputed here, so admission, headroom() and overloaded() see them
+  // at once; nothing already queued is touched, so calling this at a
   // quiescence point cannot unbalance the ledger.
   void set_red_fraction(std::size_t node, double fraction);
   void set_query_admit_fraction(std::size_t node, double fraction);
@@ -113,15 +114,18 @@ class ServiceModel {
 
  private:
   void pump(std::size_t node);
+  void complete(std::size_t node);
 
   Simulator& sim_;
   overload::OverloadConfig config_;  // the static base operating point
   // One config per node so the controller can move a single hotspot.
   // Sized once in the constructor and never resized: the queues hold
-  // pointers into this vector.
+  // pointers into this vector and cache the thresholds derived from it.
   std::vector<overload::OverloadConfig> node_configs_;
   std::vector<overload::BoundedNodeQueue> queues_;
-  std::vector<bool> busy_;  // a service-completion event is outstanding
+  // The handler in service at each node, run by its completion event;
+  // empty while the node is idle.
+  std::vector<std::function<void()>> in_service_;
   std::vector<NodeLoad> loads_;
   Rng red_;                 // shared deterministic RED stream
   ServiceStats stats_;

@@ -191,7 +191,9 @@ void ObjectChain::wipe(OverlayNode role) {
   if (slot == nullptr) return;
   std::erase_if(sdl_, [role](const SdlRecord& r) { return r.sp == role; });
   dl_entries_ -= slot->has_entry ? 1 : 0;
-  *slot = Slot{slot->key};
+  const std::uint64_t key = slot->key;
+  *slot = Slot{};
+  slot->key = key;
   release(*slot);
 }
 

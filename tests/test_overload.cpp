@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -63,6 +64,27 @@ TEST(OverloadConfig, AdmitLimitsAreMonotoneAndNeverZero) {
     EXPECT_EQ(config.admit_limit(static_cast<Priority>(c)), 1u);
   }
   EXPECT_GE(config.high_watermark(), 1u);
+
+  // Misconfigured fractions land on the clamp: a negative or NaN product
+  // cast to unsigned would be undefined behavior, and so would one past
+  // the range of size_t.
+  config.queue_capacity = 20;
+  const auto query = static_cast<std::size_t>(Priority::kQuery);
+  for (const double bad : {-0.5, -1e300,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config.admit_fraction[query] = bad;
+    config.degrade_fraction = bad;
+    EXPECT_EQ(config.admit_limit(Priority::kQuery), 1u) << bad;
+    EXPECT_EQ(config.high_watermark(), 1u) << bad;
+  }
+  for (const double huge :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    config.admit_fraction[query] = huge;
+    config.degrade_fraction = huge;
+    EXPECT_EQ(config.admit_limit(Priority::kQuery), 20u) << huge;
+    EXPECT_EQ(config.high_watermark(), 20u) << huge;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -294,6 +316,45 @@ TEST(OverloadService, ShedsPastCapacityAndReportsHeadroom) {
   EXPECT_EQ(service.stats().serviced, 3u);
   EXPECT_EQ(service.total_queued(), 0u);
   EXPECT_GE(service.stats().max_depth, 1u);
+
+  // Retuning node 0's RED onset engages the ramp there on the very next
+  // admissions, while node 1 keeps its ramp off. In each round the first
+  // query enters service and the second waits, so the third meets the
+  // ramp at depth 1 and is shed early with probability 1/2.
+  service.set_red_fraction(0, 0.01);  // onset 0, query limit 2
+  const auto early_sheds = [&](std::size_t node) {
+    const std::uint64_t before = service.stats().shed_early;
+    for (int round = 0; round < 20; ++round) {
+      for (int admitted = 0; admitted < 2; ++admitted) {
+        EXPECT_EQ(service.offer(node, Priority::kQuery, noop()),
+                  Admit::kAdmit);
+      }
+      service.offer(node, Priority::kQuery, noop());
+      sim.run();
+    }
+    return service.stats().shed_early - before;
+  };
+  EXPECT_GT(early_sheds(0), 0u);
+  EXPECT_EQ(early_sheds(1), 0u);
+
+  // Halving node 0's query admit fraction halves its headroom at once,
+  // and its next admissions follow the new limit: one in service, one
+  // waiting. Node 1 keeps its limit of two waiting.
+  service.set_query_admit_fraction(0, 0.25);  // query limit 1
+  EXPECT_EQ(service.headroom(0), 1u);
+  EXPECT_EQ(service.headroom(1), 2u);
+  for (const Admit expected :
+       {Admit::kAdmit, Admit::kAdmit, Admit::kShedCapacity}) {
+    EXPECT_EQ(service.offer(0, Priority::kQuery, noop()), expected);
+  }
+  EXPECT_EQ(service.headroom(0), 0u);
+  for (const Admit expected : {Admit::kAdmit, Admit::kAdmit, Admit::kAdmit,
+                               Admit::kShedCapacity}) {
+    EXPECT_EQ(service.offer(1, Priority::kQuery, noop()), expected);
+  }
+  sim.run();
+  EXPECT_TRUE(service.conserved());
+  EXPECT_TRUE(service.node_ledgers_conserved());
 }
 
 // ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ TEST(ThreadPool, UnbalancedTasksAllRunOnce) {
   pool.for_each(kCount, [&](std::size_t i) {
     if (i == 0) {  // one task dwarfs the rest
       volatile std::uint64_t sink = 0;
-      for (std::uint64_t k = 0; k < 2'000'000; ++k) sink += k;
+      for (std::uint64_t k = 0; k < 2'000'000; ++k) sink = sink + k;
     }
     hits[i].fetch_add(1);
   });
